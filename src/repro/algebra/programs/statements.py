@@ -31,6 +31,7 @@ from ...core import (
     TabularDatabase,
     Table,
 )
+from ...engine import runtime as _engine
 from ...obs import estimator as _est
 from ...obs import events as _ev
 from ...obs import runtime as _obs
@@ -39,7 +40,37 @@ from ...runtime import governor as _gv
 from .params import Binding, Lit, Parameter, Star, as_parameter
 from .registry import OPERATIONS, PARAM_ENTRY, PARAM_SET, PARAM_SINGLE, OpSpec
 
-__all__ = ["Statement", "Assignment", "While", "Program", "Interpreter", "assign"]
+__all__ = [
+    "Statement",
+    "Assignment",
+    "While",
+    "Program",
+    "Interpreter",
+    "assign",
+    "store_results",
+]
+
+
+def store_results(
+    db: TabularDatabase, results: Mapping[Symbol, Iterable[Table]]
+) -> TabularDatabase:
+    """Assignment semantics for each ``target → produced tables`` entry.
+
+    Every produced table is named after its target, and the named tables
+    replace all tables previously carrying that name (DESIGN.md decision
+    13); a target with no tables becomes empty.  Under an engine scope the
+    renaming keeps each result's interned form, so the kernel of the next
+    statement reading the target finds it in the interner's cache.
+    """
+    eng = _engine.ENGINE
+    rename = (
+        eng.backend.interner.renamed
+        if eng.active and eng.backend is not None
+        else Table.with_name
+    )
+    for target, produced in results.items():
+        db = db.replace_named(target, [rename(t, target) for t in produced])
+    return db
 
 
 class Statement:
@@ -169,7 +200,6 @@ class Assignment(Statement):
                 else self._combinations(db, interp.binding)
             )
             results: dict[Symbol, list[Table]] = {}
-            target_names: set[Symbol] = set()
             combinations = 0
             bindings_seen: list[str] = []
             for tables, binding in source:
@@ -184,16 +214,11 @@ class Assignment(Statement):
                 arguments = self._evaluate_params(binding, tables[0])
                 produced = self.spec.invoke(tables, arguments, interp.fresh)
                 target = self.target.evaluate_single(binding, tables[0])
-                target_names.add(target)
-                results.setdefault(target, []).extend(
-                    t.with_name(target) for t in produced
-                )
-            if not target_names and isinstance(self.target, Lit):
+                results.setdefault(target, []).extend(produced)
+            if not results and isinstance(self.target, Lit):
                 # No combination matched: the target name becomes empty.
-                target_names.add(self.target.symbol)
-            new_db = db
-            for name in target_names:
-                new_db = new_db.replace_named(name, results.get(name, []))
+                results[self.target.symbol] = []
+            new_db = store_results(db, results)
             if observing:
                 sp.set(
                     combinations=combinations,
@@ -207,7 +232,7 @@ class Assignment(Statement):
 
                     sp.set(
                         prov_cells=count_prov_cells(
-                            t for tables in results.values() for t in tables
+                            t for name in results for t in new_db.tables_named(name)
                         )
                     )
                 if obs.metrics is not None:

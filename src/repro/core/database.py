@@ -5,14 +5,23 @@ relational model, several tables may carry the same name (``SalesInfo4`` in
 Figure 1 has one ``Sales`` table per region, their number depending on the
 instance), so lookup by name returns a tuple of tables.
 
-Databases are immutable; tables are stored deduplicated and in a canonical
-deterministic order, so two databases built from the same tables in any
-order compare equal, hash equal, and render identically.
+Databases are immutable and are stored as a set: building one only
+deduplicates its tables, and equality, hashing and membership are those of
+the set.  The canonical deterministic order (``Table.sort_key``) is an
+implementation choice made lazily: it is computed the first time a database
+is asked for its tables in order — ``.tables``, iteration, rendering,
+serialisation (checkpoints, digests) — and cached on that database.  So two
+databases built from the same tables in any order compare equal, hash
+equal, and render identically, while a program statement that only replaces
+the tables of one name never sorts the whole database.  ``tables_named``
+sorts just the tables sharing the requested name, because the order of
+several same-named tables drives combination order and fresh-value minting.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SchemaError
 from .symbols import NULL, Name, Symbol
@@ -33,17 +42,18 @@ class TabularDatabase:
     * set-like combination (``|``), addition and replacement of tables.
     """
 
-    __slots__ = ("_tables", "_hash")
+    __slots__ = ("_set", "_ordered", "_by_name")
 
     def __init__(self, tables: Iterable[Table] = ()):
-        unique = set()
+        if not isinstance(tables, (frozenset, set, tuple, list)):
+            tables = tuple(tables)
+        # Checked before hashing: a non-table is a SchemaError, not a TypeError.
         for table in tables:
             if not isinstance(table, Table):
                 raise SchemaError(f"a TabularDatabase holds Table objects, got {table!r}")
-            unique.add(table)
-        ordered = tuple(sorted(unique, key=Table.sort_key))
-        object.__setattr__(self, "_tables", ordered)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_set", frozenset(tables))
+        object.__setattr__(self, "_ordered", None)
+        object.__setattr__(self, "_by_name", None)
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("TabularDatabase is immutable")
@@ -54,27 +64,49 @@ class TabularDatabase:
 
     @property
     def tables(self) -> tuple[Table, ...]:
-        """All tables, in canonical order."""
-        return self._tables
+        """All tables, in canonical order (sorted on first request, then cached)."""
+        if self._ordered is None:
+            object.__setattr__(
+                self, "_ordered", tuple(sorted(self._set, key=Table.sort_key))
+            )
+        return self._ordered
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._set)
 
     def __iter__(self) -> Iterator[Table]:
-        return iter(self._tables)
+        return iter(self.tables)
 
     def __contains__(self, table: object) -> bool:
-        return table in set(self._tables)
+        return table in self._set
 
     def is_empty(self) -> bool:
         """True iff the database holds no tables."""
-        return not self._tables
+        return not self._set
+
+    def _named(self, name: Symbol) -> Sequence[Table]:
+        """The tables named ``name`` in no set order; grouped once per database."""
+        by_name = self._by_name
+        if by_name is None:
+            by_name = {}
+            for table in self._set:
+                by_name.setdefault(table.name, []).append(table)
+            object.__setattr__(self, "_by_name", by_name)
+        return by_name.get(name, ())
 
     def tables_named(self, name: Symbol | str) -> tuple[Table, ...]:
-        """All tables whose name position holds ``name``."""
+        """All tables whose name position holds ``name``, in canonical order.
+
+        A group of several tables is sorted on its first lookup only.
+        """
         if isinstance(name, str):
             name = Name(name)
-        return tuple(t for t in self._tables if t.name == name)
+        found = self._named(name)
+        if type(found) is list:
+            # sorted(), not list.sort(): another thread may read the group.
+            ordered = sorted(found, key=Table.sort_key) if len(found) > 1 else found
+            found = self._by_name[name] = tuple(ordered)
+        return found
 
     def table(self, name: Symbol | str) -> Table:
         """The unique table named ``name``; raises if absent or ambiguous."""
@@ -87,12 +119,12 @@ class TabularDatabase:
 
     def table_names(self) -> frozenset[Symbol]:
         """The set of symbols used as table names."""
-        return frozenset(t.name for t in self._tables)
+        return frozenset(t.name for t in self._set)
 
     def symbols(self) -> frozenset[Symbol]:
         """``|D|`` — all symbols occurring anywhere in the database."""
         out: set[Symbol] = set()
-        for table in self._tables:
+        for table in self._set:
             out |= table.symbols()
         return frozenset(out)
 
@@ -115,18 +147,17 @@ class TabularDatabase:
 
     def add(self, *tables: Table) -> "TabularDatabase":
         """A database with the given tables added (set union)."""
-        return TabularDatabase(self._tables + tables)
+        return TabularDatabase(chain(self._set, tables))
 
     def remove(self, *tables: Table) -> "TabularDatabase":
         """A database with the given tables removed (missing ones ignored)."""
-        drop = set(tables)
-        return TabularDatabase(t for t in self._tables if t not in drop)
+        return TabularDatabase(self._set.difference(tables))
 
     def without_name(self, name: Symbol | str) -> "TabularDatabase":
         """A database with every table named ``name`` removed."""
         if isinstance(name, str):
             name = Name(name)
-        return TabularDatabase(t for t in self._tables if t.name != name)
+        return TabularDatabase(self._set.difference(self._named(name)))
 
     def replace_named(self, name: Symbol | str, tables: Iterable[Table]) -> "TabularDatabase":
         """Assignment semantics: drop all tables named ``name``, add ``tables``.
@@ -139,19 +170,17 @@ class TabularDatabase:
     def __or__(self, other: "TabularDatabase") -> "TabularDatabase":
         if not isinstance(other, TabularDatabase):
             return NotImplemented
-        return TabularDatabase(self._tables + other._tables)
+        return TabularDatabase(self._set | other._set)
 
     # ------------------------------------------------------------------
     # Equality
     # ------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TabularDatabase) and other._tables == self._tables
+        return isinstance(other, TabularDatabase) and other._set == self._set
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._tables))
-        return self._hash
+        return hash(self._set)
 
     def equivalent(self, other: "TabularDatabase") -> bool:
         """Equality up to row/column permutations inside the tables.
@@ -162,8 +191,8 @@ class TabularDatabase:
         """
         if len(self) != len(other):
             return False
-        remaining = list(other._tables)
-        for table in self._tables:
+        remaining = list(other.tables)
+        for table in self.tables:
             for candidate in remaining:
                 if table.equivalent(candidate):
                     remaining.remove(candidate)
@@ -173,8 +202,8 @@ class TabularDatabase:
         return not remaining
 
     def __repr__(self) -> str:
-        names = ", ".join(sorted(str(t.name) for t in self._tables))
-        return f"TabularDatabase({len(self._tables)} tables: {names})"
+        names = ", ".join(sorted(str(t.name) for t in self._set))
+        return f"TabularDatabase({len(self._set)} tables: {names})"
 
     def __str__(self) -> str:
         from .render import render_database

@@ -70,6 +70,15 @@ class Table:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_sort_key", None)
 
+    @classmethod
+    def _of_checked_grid(cls, grid: tuple[tuple[Symbol, ...], ...]) -> "Table":
+        """A table over a grid its caller has already validated (no re-check)."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "_grid", grid)
+        object.__setattr__(table, "_hash", None)
+        object.__setattr__(table, "_sort_key", None)
+        return table
+
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Table is immutable")
 
@@ -235,9 +244,15 @@ class Table:
         return Table(zip(*self._grid))
 
     def with_name(self, name: Symbol) -> "Table":
-        """A copy whose table-name position holds ``name``."""
-        first = (name,) + self._grid[0][1:]
-        return Table((first,) + self._grid[1:])
+        """A copy whose table-name position holds ``name``.
+
+        Only the new name cell is checked: every other cell comes from this
+        table's already-validated grid.
+        """
+        if not isinstance(name, Symbol):
+            raise SchemaError(f"table name {name!r} is not a Symbol")
+        grid = self._grid
+        return Table._of_checked_grid(((name,) + grid[0][1:],) + grid[1:])
 
     def with_entry(self, i: int, j: int, symbol: Symbol) -> "Table":
         """A copy with entry (i, j) replaced by ``symbol``."""
@@ -324,9 +339,11 @@ class Table:
     def sort_key(self) -> tuple:
         """A key totally ordering tables (used for canonical database order).
 
-        Cached: the grid is immutable, and :class:`TabularDatabase` re-sorts
-        its tables after every program statement, so without the cache this
-        key dominates interpreter time on multi-statement programs.
+        :class:`TabularDatabase` sorts lazily: only when a database is asked
+        for its tables in order (``.tables``, iteration, rendering,
+        checkpoints and digests) and, for ``tables_named``, only among the
+        tables sharing a name.  Cached, because the grid is immutable and a
+        table typically lives in many databases along a program run.
         """
         if self._sort_key is None:
             object.__setattr__(

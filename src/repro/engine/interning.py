@@ -14,8 +14,12 @@ Tables are immutable, so interning is cached per *object*: the interner
 keeps an ``id(table)``-keyed map validated (and evicted) through weak
 references — a table produced by one kernel re-enters the next kernel
 without touching its symbols again.  ``materialize`` registers its
-output in the same cache, which is what makes multi-statement pipelines
-pay the symbol-level costs only at the engine boundary.
+output in the same cache.  A program statement then names each result
+after its target, which builds a new :class:`Table` object; ``renamed``
+registers that copy too, reusing the cached id-columns with only the
+name id changed.  Together these make multi-statement pipelines intern
+each input table once and pay the symbol-level costs only at the engine
+boundary: results stay interned from one statement to the next.
 
 Interning canonicalizes equal symbols to one representative object
 (e.g. two equal ``Name("A")`` instances share an id).  Grids built from
@@ -28,7 +32,7 @@ from __future__ import annotations
 import weakref
 from typing import Iterable, Sequence
 
-from ..core import NULL, Symbol, Table
+from ..core import NULL, SchemaError, Symbol, Table
 
 __all__ = ["IdTable", "SymbolInterner"]
 
@@ -135,12 +139,18 @@ class SymbolInterner:
         except KeyError:
             return tuple(self.intern(s) for s in row)
 
-    def intern_table(self, table: Table) -> IdTable:
-        """The :class:`IdTable` for ``table``, cached by object identity."""
-        key = id(table)
-        hit = self._cache.get(key)
+    def cached(self, table: Table) -> IdTable | None:
+        """The cached :class:`IdTable` for this very object, if any."""
+        hit = self._cache.get(id(table))
         if hit is not None and hit[0]() is table:
             return hit[1]
+        return None
+
+    def intern_table(self, table: Table) -> IdTable:
+        """The :class:`IdTable` for ``table``, cached by object identity."""
+        hit = self.cached(table)
+        if hit is not None:
+            return hit
         grid = table.grid
         header = self._intern_row(grid[0])
         body = [self._intern_row(row) for row in grid[1:]]
@@ -160,12 +170,22 @@ class SymbolInterner:
         row_attrs: Sequence[int],
         rows: Sequence[Sequence[int]],
     ) -> Table:
-        """Build the symbol-level :class:`Table` and cache its id form."""
+        """Build the symbol-level :class:`Table` and cache its id form.
+
+        Every id maps to an interned :class:`Symbol`, so only the row
+        widths are checked, not each cell.
+        """
         lookup = self._symbols.__getitem__
-        grid = [tuple(map(lookup, (name,) + tuple(col_attrs)))]
+        width = len(col_attrs)
+        grid = [tuple(map(lookup, (name, *col_attrs)))]
         for attr, row in zip(row_attrs, rows):
-            grid.append(tuple(map(lookup, (attr,) + tuple(row))))
-        table = Table(grid)
+            if len(row) != width:
+                raise SchemaError(
+                    f"ragged grid: row {len(grid)} has {len(row) + 1} entries, "
+                    f"expected {width + 1}"
+                )
+            grid.append(tuple(map(lookup, (attr, *row))))
+        table = Table._of_checked_grid(tuple(grid))
         idt = IdTable(
             name,
             tuple(col_attrs),
@@ -174,6 +194,24 @@ class SymbolInterner:
         )
         self._remember(table, idt)
         return table
+
+    def renamed(self, table: Table, name: Symbol) -> Table:
+        """``table.with_name(name)``, keeping ``table``'s interned form.
+
+        If ``table`` is cached, the copy is registered with the same
+        id-columns and attribute ids under the new name id, so the next
+        kernel reading it does not re-intern the grid.
+        """
+        named = table.with_name(name)
+        idt = self.cached(table)
+        if idt is not None:
+            self._remember(
+                named,
+                IdTable(
+                    self.intern(name), idt.col_attrs, idt.row_attrs, idt.cols, idt._rows
+                ),
+            )
+        return named
 
     def _remember(self, table: Table, idt: IdTable) -> None:
         if len(self._cache) >= self.CACHE_CAP:

@@ -88,7 +88,13 @@ from ..algebra.programs.params import (
     Star,
 )
 from ..algebra.programs.registry import OPERATIONS, OpSpec
-from ..algebra.programs.statements import Assignment, Program, Statement, While
+from ..algebra.programs.statements import (
+    Assignment,
+    Program,
+    Statement,
+    While,
+    store_results,
+)
 from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
 from ..obs import events as _ev
 from ..obs import runtime as _obs
@@ -918,9 +924,10 @@ class ChainJoin(Statement):
                 combinations += 1
                 if not self._stats_fresh(tables):
                     stale += 1
-                produced = self._spec.invoke(tables, self._arguments, interp.fresh)
-                results.extend(t.with_name(self.target) for t in produced)
-            new_db = db.replace_named(self.target, results)
+                results.extend(
+                    self._spec.invoke(tables, self._arguments, interp.fresh)
+                )
+            new_db = store_results(db, {self.target: results})
             if observing:
                 sp.set(
                     combinations=combinations,
@@ -1034,9 +1041,8 @@ class SelectUnion(Statement):
                 for fl in filtered_left:
                     for fr in filtered_right:
                         combinations += 1
-                        produced = union_spec.invoke((fl, fr), {}, interp.fresh)
-                        results.extend(t.with_name(target) for t in produced)
-            new_db = db.replace_named(target, results)
+                        results.extend(union_spec.invoke((fl, fr), {}, interp.fresh))
+            new_db = store_results(db, {target: results})
             if observing:
                 sp.set(
                     combinations=combinations,
