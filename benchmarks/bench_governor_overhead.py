@@ -10,7 +10,8 @@ Three measurements:
   within a small constant factor of the raw run: the per-op cost is a
   handful of integer comparisons and two counter increments;
 * **hardened driver** — :func:`repro.runtime.checkpoint.run_hardened`
-  without a checkpoint file adds only the statement-stepping loop.
+  without a checkpoint file adds only the governed scope around the
+  same interpreter ``program.run`` uses.
 
 The governed run's result is asserted equal to the raw result — limits
 that never trip provably do not change semantics.

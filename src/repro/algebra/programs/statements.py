@@ -266,7 +266,43 @@ class While(Statement):
         name = self.condition.evaluate_single(interp.binding, None)
         return sum(t.height for t in db.tables_named(name))
 
-    def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
+    def _step_body(
+        self,
+        db: TabularDatabase,
+        interp: "Interpreter",
+        first: int,
+        index: int | None,
+        iteration: int,
+    ) -> TabularDatabase:
+        """Step the body from statement ``first`` on.
+
+        For a top-level loop (``index`` given) ``interp.boundary`` sees
+        every completed body statement; after the last one the loop is
+        back at its condition test (body index 0).
+        """
+        body = self.body.statements
+        boundary = interp.boundary if index is not None else None
+        for position in range(first, len(body)):
+            db = interp.step(body[position], db)
+            if boundary is not None:
+                boundary(db, index, (position + 1) % len(body), iteration)
+        return db
+
+    def execute(
+        self,
+        db: TabularDatabase,
+        interp: "Interpreter",
+        index: int | None = None,
+        resume: tuple[int, int] = (0, 0),
+    ) -> TabularDatabase:
+        """Run the loop, stepping its body through ``interp.step``.
+
+        ``index`` is the loop's position in a top-level program (see
+        :meth:`_step_body`).  ``resume = (body_index, iteration)``
+        re-enters the loop after ``iteration`` ticks; a non-zero
+        ``body_index`` first finishes that iteration's body from
+        ``body_index`` on, without re-testing the condition.
+        """
         obs = _obs.OBS
         observing = obs.active
         cm = (
@@ -275,13 +311,13 @@ class While(Statement):
             else NULL_SPAN
         )
         with cm as sp:
-            iterations = 0
+            body_index, iterations = resume
             condition_rows: list[int] = []
             prov_frontier: list[int] = []
             lineage_on = observing and obs.lineage is not None
             gov = _gv.GOV
             predicted_iterations = None
-            if _est.EST.active and _est.EST.estimator is not None:
+            if resume == (0, 0) and _est.EST.active and _est.EST.estimator is not None:
                 # Predict the fixpoint's iteration count from the
                 # loop-entry frontier; scored under the pseudo-op WHILE.
                 try:
@@ -294,6 +330,8 @@ class While(Statement):
             if _ev.EVT.active:
                 prev_rows = sum(t.height for t in db.tables)
                 prev_cells = sum(t.nrows * t.ncols for t in db.tables)
+            if body_index:
+                db = self._step_body(db, interp, body_index, index, iterations)
             while self._holds(db, interp):
                 iterations += 1
                 if gov.active and gov.governor is not None:
@@ -341,9 +379,9 @@ class While(Statement):
                         obs.metrics.count("while_iterations")
                     if obs.tracer is not None:
                         with obs.tracer.span("iteration", n=iterations):
-                            db = self.body.execute(db, interp)
+                            db = self._step_body(db, interp, 0, index, iterations)
                         continue
-                db = self.body.execute(db, interp)
+                db = self._step_body(db, interp, 0, index, iterations)
             if predicted_iterations is not None:
                 estimator = _est.EST.estimator
                 if estimator is not None:
@@ -378,33 +416,8 @@ class Program:
                 raise EvaluationError(f"not a statement: {statement!r}")
 
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
-        if _gv.GOV.active:
-            return self._execute_hardened(db, interp)
-        for statement in self.statements:
-            db = statement.execute(db, interp)
-        return db
-
-    def _execute_hardened(
-        self, db: TabularDatabase, interp: "Interpreter"
-    ) -> TabularDatabase:
-        """Snapshot-and-commit statement semantics under the governor.
-
-        The database is immutable, so the only interpreter state a
-        failing statement can leave behind is the fresh-value source it
-        advanced while building partial results.  Rolling the source
-        back to its pre-statement tag makes every statement atomic: the
-        environment after a caught fault equals the environment before
-        the failing statement, and a checkpointed resume re-mints the
-        identical tags.
-        """
-        for statement in self.statements:
-            mark = interp.fresh.next_tag
-            try:
-                db = statement.execute(db, interp)
-            except BaseException:
-                interp.fresh.reset_to(mark)
-                raise
-        return db
+        """Run the statements with ``interp`` (see :meth:`Interpreter.run`)."""
+        return interp.run(self, db)
 
     def run(
         self,
@@ -451,6 +464,16 @@ class Interpreter:
     Carries the fresh-value source (advanced past every tagged value in
     the input so tagging yields globally new values), the wildcard binding
     environment, and the while-loop iteration budget.
+
+    :meth:`run` steps a program's top-level statements and
+    :meth:`While.execute` steps a loop body; both go through
+    :meth:`step`.  ``boundary``, when set, is called as
+    ``boundary(db, statement_index, body_index, iteration)`` at every
+    restart point of a top-level run: its entry state, after each
+    completed top-level statement other than a while loop, and after
+    each completed body statement of a top-level while loop (whose last
+    body statement leaves the loop at its condition test, so the loop's
+    own completion needs no further point).  Checkpointing sets it.
     """
 
     def __init__(
@@ -462,26 +485,78 @@ class Interpreter:
         self.fresh = fresh if fresh is not None else FreshValueSource()
         self.max_while_iterations = max_while_iterations
         self.binding = binding if binding is not None else Binding()
+        self.boundary = None
 
-    def run(self, program: Program, db: TabularDatabase) -> TabularDatabase:
+    def step(self, statement: Statement, db: TabularDatabase) -> TabularDatabase:
+        """Execute one statement with snapshot-and-commit semantics.
+
+        The database is immutable, so the only interpreter state a
+        failing statement can leave behind is the fresh-value source it
+        advanced while building partial results.  Rolling the source
+        back to its pre-statement tag makes every statement atomic: the
+        environment after a caught fault equals the environment before
+        the failing statement, and a checkpointed resume re-mints the
+        identical tags.
+        """
+        mark = self.fresh.next_tag
+        try:
+            return statement.execute(db, self)
+        except BaseException:
+            self.fresh.reset_to(mark)
+            raise
+
+    def run(
+        self,
+        program: Program,
+        db: TabularDatabase,
+        start: tuple[int, int, int] = (0, 0, 0),
+    ) -> TabularDatabase:
+        """Run ``program`` on ``db``.
+
+        ``start = (statement_index, body_index, iteration)`` re-enters
+        the program at a restart point reported to :attr:`boundary`.
+        """
         self.fresh.advance_past(db.symbols())
+        first, body_index, iteration = start
+        if self.boundary is not None:
+            self.boundary(db, first, body_index, iteration)
         obs = _obs.OBS
-        if not obs.active:
-            return program.execute(db, self)
+        observing = obs.active
         cm = (
             obs.tracer.span("program", statements=len(program))
-            if obs.tracer is not None
+            if observing and obs.tracer is not None
             else NULL_SPAN
         )
+        gov = _gv.GOV.governor if _gv.GOV.active else None
+        previous = gov.statement if gov is not None else None
+        out = db
         with cm as sp:
-            bound = self.binding.snapshot()
-            if bound:
-                sp.set(binding={f"*{k}": str(v) for k, v in sorted(bound.items())})
-            out = program.execute(db, self)
-            sp.set(tables_in=len(db), tables_out=len(out))
-            if obs.metrics is not None:
-                obs.metrics.count("programs")
-            return out
+            if observing:
+                bound = self.binding.snapshot()
+                if bound:
+                    sp.set(binding={f"*{k}": str(v) for k, v in sorted(bound.items())})
+            try:
+                for index in range(first, len(program.statements)):
+                    statement = program.statements[index]
+                    if gov is not None:
+                        # Errors raised deep inside an op still report
+                        # which top-level statement was executing.
+                        gov.statement = index
+                    if isinstance(statement, While):
+                        resume = (body_index, iteration) if index == first else (0, 0)
+                        out = statement.execute(out, self, index, resume)
+                    else:
+                        out = self.step(statement, out)
+                        if self.boundary is not None:
+                            self.boundary(out, index + 1, 0, 0)
+            finally:
+                if gov is not None:
+                    gov.statement = previous
+            if observing:
+                sp.set(tables_in=len(db), tables_out=len(out))
+                if obs.metrics is not None:
+                    obs.metrics.count("programs")
+        return out
 
 
 def assign(target: object, op: str, *args: object, **params: object) -> Assignment:

@@ -1,10 +1,11 @@
 """The backend switch: run a program on the naive or vectorized engine.
 
 ``run_program(program, db, engine="vector")`` is the one entry point
-the rest of the system goes through (``Program.run(engine=...)``, the
-CLI ``--engine`` flag, and ``run_hardened`` all delegate here).  The
-vector path plans the program (product/select fusion), then executes it
-inside an :func:`~repro.engine.runtime.engine_scope`, so the operation
+the rest of the system goes through (``Program.run(engine=...)`` and
+the CLI ``--engine`` flag delegate here; ``run_hardened`` shares its
+:func:`prepare_program` switch).  The vector path plans the program
+(product/select fusion), then executes it inside an
+:func:`~repro.engine.runtime.engine_scope`, so the operation
 registry routes each invocation through the kernel catalogue with
 per-invocation fallback to the naive operations.
 
@@ -16,14 +17,48 @@ snapshot) to drive join ordering.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from ..core import EvaluationError, FreshValueSource, TabularDatabase
 from .planner import plan_program
 from .runtime import VectorEngine, engine_scope
 
-__all__ = ["ENGINES", "run_program"]
+__all__ = ["ENGINES", "prepare_program", "run_program"]
 
 #: The recognised values of the ``engine=`` switch.
 ENGINES = ("naive", "vector")
+
+
+def prepare_program(
+    program,
+    *,
+    engine: str | None = "naive",
+    backend: VectorEngine | None = None,
+    optimize: bool = False,
+    stats=None,
+):
+    """``(program, scope)``: the program to run and the scope to run it in.
+
+    The one engine switch, shared by :func:`run_program` and
+    :func:`~repro.runtime.checkpoint.run_hardened`: ``optimize=True``
+    rewrites the program first, ``"vector"`` plans it and routes dispatch
+    through ``backend``, and an unknown engine raises
+    :class:`~repro.core.EvaluationError`.
+    """
+    if optimize:
+        from ..obs import estimator as _est
+        from .optimizer import optimize_program
+
+        if stats is None and _est.EST.active and _est.EST.estimator is not None:
+            stats = _est.EST.estimator.stats
+        program = optimize_program(program, stats).program
+    if engine in (None, "naive"):
+        return program, nullcontext()
+    if engine != "vector":
+        raise EvaluationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+    return plan_program(program), engine_scope(backend)
 
 
 def run_program(
@@ -48,23 +83,10 @@ def run_program(
     :class:`~repro.obs.stats.DatabaseStats` snapshot for join ordering
     (defaults to the active estimation scope's snapshot, if any).
     """
-    if optimize:
-        from ..obs import estimator as _est
-        from .optimizer import optimize_program
-
-        if stats is None and _est.EST.active and _est.EST.estimator is not None:
-            stats = _est.EST.estimator.stats
-        program = optimize_program(program, stats).program
-    if engine in (None, "naive"):
+    program, scope = prepare_program(
+        program, engine=engine, backend=backend, optimize=optimize, stats=stats
+    )
+    with scope:
         return program.run(
-            db, fresh=fresh, max_while_iterations=max_while_iterations
-        )
-    if engine != "vector":
-        raise EvaluationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    planned = plan_program(program)
-    with engine_scope(backend):
-        return planned.run(
             db, fresh=fresh, max_while_iterations=max_while_iterations
         )

@@ -20,13 +20,15 @@ with their enclosing body statement.  This keeps the inter-checkpoint
 stride small enough that even a tight deadline re-applied on every
 resume still makes forward progress.
 
-:func:`run_hardened` is the driver: it steps a
-:class:`~repro.algebra.programs.statements.Program` statement by
-statement under an optional :func:`~repro.runtime.governor.governed`
-scope, writes checkpoints, applies snapshot-and-commit semantics to the
-fresh-value source (a failed statement's minted tags are rolled back),
-and on ``resume=True`` restores state from the checkpoint file instead
-of starting over.
+:func:`run_hardened` runs a
+:class:`~repro.algebra.programs.statements.Program` through the one
+interpreter, :meth:`~repro.algebra.programs.statements.Interpreter.run`,
+under an optional :func:`~repro.runtime.governor.governed` scope.  It
+hands the interpreter a checkpoint writer as its ``boundary`` hook, so
+the interpreter decides where the restart points fall and its
+snapshot-and-commit step rolls a failed statement's minted tags back;
+on ``resume=True`` it restores state from the checkpoint file and
+re-enters the program at the recorded boundary instead of starting over.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import hashlib
 import json
 import os
 import weakref
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -281,119 +282,85 @@ def run_hardened(
     resume: bool = False,
     max_while_iterations: int = 10_000,
     engine: str | None = None,
-    optimize: bool = False,
-    stats=None,
 ) -> TabularDatabase:
     """Run a TA program under the governor with checkpoint/resume.
 
-    Equivalent to ``program.run(db)`` — same semantics, same result —
-    but stepped at top-level statement (and top-level while-iteration)
-    boundaries so that:
+    Equivalent to ``program.run(db)`` — same interpreter, same result —
+    and additionally:
 
     * a :class:`~repro.runtime.governor.ResourceGovernor` over ``limits``
       (and/or a :class:`~repro.runtime.faults.FaultPlan`) is installed
       around the whole run;
-    * after every completed boundary the environment is serialized to
+    * at every interpreter boundary (the entry state, each completed
+      top-level statement, and each completed body statement of a
+      top-level while loop) the environment is serialized to
       ``checkpoint_path`` (when given);
     * ``resume=True`` restores the environment from ``checkpoint_path``
       and continues from the recorded boundary — a killed run re-driven
       this way yields the identical final database;
-    * a statement that raises rolls the fresh-value source back to its
-      pre-statement tag (snapshot-and-commit), so the checkpointed
-      environment is never partially mutated;
     * ``engine="vector"`` plans the program (product/select fusion) and
       routes operation dispatch through the vectorized kernels; the
       checkpoint fingerprint covers the *planned* program, so a resume
-      must use the same engine the original run did;
-    * ``optimize=True`` runs the program through the cost-based
-      optimizer (:mod:`repro.engine.optimizer`) first, ordering joins
-      with ``stats`` when given; the fingerprint covers the *optimized*
-      program, so a resume must use the same optimizer settings (and
-      the same stats snapshot) the original run did.
+      must use the same engine the original run did.  Callers that
+      optimize do so before calling, and the fingerprint then covers
+      the optimized program.
     """
-    from ..algebra.programs.statements import Interpreter, Program, While
+    from ..algebra.programs.statements import Interpreter, Program
+    from ..engine.run import prepare_program
 
     if not isinstance(program, Program):
         raise CheckpointError(f"run_hardened drives TA Programs, got {program!r}")
-
-    if optimize:
-        from ..engine.optimizer import optimize_program
-
-        program = optimize_program(program, stats).program
-
-    if engine in (None, "naive"):
-        scope = nullcontext()
-    elif engine == "vector":
-        from ..engine import plan_program
-        from ..engine.runtime import engine_scope
-
-        program = plan_program(program)
-        scope = engine_scope()
-    else:
-        raise CheckpointError(f"unknown engine {engine!r}; expected naive or vector")
+    program, scope = prepare_program(program, engine=engine)
 
     interp = Interpreter(fresh=fresh, max_while_iterations=max_while_iterations)
     fingerprint = program_fingerprint(program)
-    start_index = 0
-    start_body = 0
-    start_iteration = 0
+    start = (0, 0, 0)
 
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume=True requires a checkpoint_path")
         checkpoint = load_checkpoint(checkpoint_path, program)
         db = checkpoint.db
-        start_index = checkpoint.statement_index
-        start_body = checkpoint.body_index
-        start_iteration = checkpoint.iterations
+        start = (checkpoint.statement_index, checkpoint.body_index, checkpoint.iterations)
         interp.fresh.reset_to(checkpoint.next_tag)
         if _ev.EVT.active:
             _ev.emit(
                 "checkpoint_restore",
                 path=str(checkpoint_path),
-                statement_index=start_index,
-                body_index=start_body,
-                iteration=start_iteration,
+                statement_index=start[0],
+                body_index=start[1],
+                iteration=start[2],
                 done=checkpoint.done,
             )
         if checkpoint.done:
             return db
 
-    interp.fresh.advance_past(db.symbols())
-
-    def write(database: TabularDatabase, index: int, body_index: int = 0,
-              iteration: int = 0, done: bool = False) -> None:
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                Checkpoint(
-                    statement_index=index,
-                    iterations=iteration,
-                    next_tag=interp.fresh.next_tag,
-                    db=database,
-                    fingerprint=fingerprint,
-                    body_index=body_index,
-                    done=done,
-                ),
+    def write(database: TabularDatabase, index: int, body_index: int,
+              iteration: int, done: bool = False) -> None:
+        save_checkpoint(
+            checkpoint_path,
+            Checkpoint(
+                statement_index=index,
+                iterations=iteration,
+                next_tag=interp.fresh.next_tag,
+                db=database,
+                fingerprint=fingerprint,
+                body_index=body_index,
+                done=done,
+            ),
+        )
+        if _ev.EVT.active:
+            _ev.emit(
+                "checkpoint_write",
+                path=str(checkpoint_path),
+                statement_index=index,
+                body_index=body_index,
+                iteration=iteration,
+                done=done,
             )
-            if _ev.EVT.active:
-                _ev.emit(
-                    "checkpoint_write",
-                    path=str(checkpoint_path),
-                    statement_index=index,
-                    body_index=body_index,
-                    iteration=iteration,
-                    done=done,
-                )
 
-    def committed(statement, database: TabularDatabase) -> TabularDatabase:
-        """Execute one statement with fresh-source snapshot-and-commit."""
-        mark = interp.fresh.next_tag
-        try:
-            return statement.execute(database, interp)
-        except BaseException:
-            interp.fresh.reset_to(mark)
-            raise
+    if checkpoint_path is not None:
+        interp.boundary = write
 
     with scope, governed(limits, faults=faults, governor=governor) as gov:
         if _ev.EVT.active:
@@ -402,15 +369,10 @@ def run_hardened(
                 statements=len(program.statements),
                 resume=resume,
                 engine=engine or "naive",
-                start_index=start_index,
+                start_index=start[0],
             )
-        # Boundary zero: resume works even if killed before any progress.
-        write(db, start_index, body_index=start_body, iteration=start_iteration)
         try:
-            db = _drive(
-                program, db, interp, gov, write, committed,
-                start_index, start_body, start_iteration,
-            )
+            db = interp.run(program, db, start)
         except BaseException as err:
             # Outcome stamping: the bus sees *every* run end, not just
             # the clean ones, so a ledger recorder can attribute the
@@ -430,98 +392,8 @@ def run_hardened(
                     error_type=type(err).__name__,
                 )
             raise
-        write(db, len(program.statements), done=True)
+        if checkpoint_path is not None:
+            write(db, len(program.statements), 0, 0, done=True)
         if _ev.EVT.active:
             _ev.emit("run_finish", governor=gov.snapshot(), outcome="ok")
     return db
-
-
-def _drive(program, db, interp, gov, write, committed,
-           start_index, start_body, start_iteration):
-    """The statement-stepping loop of :func:`run_hardened`."""
-    from ..algebra.programs.statements import While
-
-    for index in range(start_index, len(program.statements)):
-        statement = program.statements[index]
-        previous_statement, gov.statement = gov.statement, index
-        try:
-            if isinstance(statement, While):
-                # Step the fixpoint one body statement at a time so
-                # every completed body statement is a restart point.
-                body = statement.body.statements
-                if index == start_index:
-                    # A mid-body resume re-enters iteration
-                    # `start_iteration` at statement `start_body`
-                    # without re-testing the condition.
-                    iteration, body_pos = start_iteration, start_body
-                else:
-                    iteration, body_pos = 0, 0
-                prev_rows = prev_cells = 0
-                if _ev.EVT.active:
-                    prev_rows = sum(t.height for t in db.tables)
-                    prev_cells = sum(t.nrows * t.ncols for t in db.tables)
-                while True:
-                    if body_pos == 0:
-                        if not statement._holds(db, interp):
-                            break
-                        iteration += 1
-                        if iteration > interp.max_while_iterations:
-                            raise _non_termination(statement, iteration, interp)
-                        gov.while_tick(
-                            str(statement.condition), iteration, statement=index
-                        )
-                        if _ev.EVT.active:
-                            # Same fixpoint-frontier event While.execute
-                            # publishes: the hardened driver steps the
-                            # loop itself, so it reports the ticks too.
-                            total_rows = sum(t.height for t in db.tables)
-                            total_cells = sum(
-                                t.nrows * t.ncols for t in db.tables
-                            )
-                            _ev.emit(
-                                "while_iteration",
-                                condition=str(statement.condition),
-                                iteration=iteration,
-                                frontier_rows=statement._condition_rows(
-                                    db, interp
-                                ),
-                                total_rows=total_rows,
-                                total_cells=total_cells,
-                                delta_rows=total_rows - prev_rows,
-                                delta_cells=total_cells - prev_cells,
-                            )
-                            prev_rows, prev_cells = total_rows, total_cells
-                    for position in range(body_pos, len(body)):
-                        db = committed(body[position], db)
-                        write(
-                            db,
-                            index,
-                            body_index=(position + 1) % len(body),
-                            iteration=iteration,
-                        )
-                    body_pos = 0
-            else:
-                # Optimizer-produced statements (CHAINJOIN, SELECTUNION)
-                # are not Assignments and carry no public spec; their
-                # class name is their op name.
-                spec = getattr(statement, "spec", None)
-                op = spec.name if spec is not None else type(statement).__name__.upper()
-                gov.check(op=op)
-                db = committed(statement, db)
-                write(db, index + 1)
-        finally:
-            gov.statement = previous_statement
-    return db
-
-
-def _non_termination(statement, iteration: int, interp):
-    from ..core.errors import NonTerminationError
-
-    return NonTerminationError(
-        f"while loop on {statement.condition} exceeded "
-        f"{interp.max_while_iterations} iterations",
-        kind="iterations",
-        condition=str(statement.condition),
-        iteration=iteration,
-        limit=interp.max_while_iterations,
-    )

@@ -97,8 +97,8 @@ class ResourceGovernor:
     :meth:`before_op` / :meth:`account` / :meth:`while_tick` /
     :meth:`check`, each a handful of comparisons; any tripped budget
     raises with full context (op name, statement index, iteration, rows
-    so far).  ``statement`` is maintained by the interpreter's hardened
-    statement loop so errors raised deep inside an op still report which
+    so far).  ``statement`` is maintained by the TA interpreter's
+    top-level loop so errors raised deep inside an op still report which
     program statement was executing.
     """
 
@@ -255,7 +255,7 @@ class ResourceGovernor:
     def while_tick(
         self, condition: str, iteration: int, statement: int | None = None
     ) -> None:
-        """Called once per while-loop iteration by both interpreters."""
+        """Called once per while-loop iteration by both languages' loops."""
         if _ev.EVT.active:
             # Budget headroom, once per tick: the progress feed's view of
             # how close the loop is to a deadline / row-cap kill.
@@ -304,10 +304,11 @@ class ResourceGovernor:
 class IterationBudget:
     """Shared while-iteration budget, delegating to the installed governor.
 
-    Both budget mechanisms — the FO+while interpreter's program-wide
-    ``_Budget`` and the TA interpreter's per-loop counter — route through
-    this class, so one governed scope sees every loop tick regardless of
-    which language is executing.  Exhaustion raises
+    The FO+while interpreter's program-wide budget routes through this
+    class.  The TA interpreter keeps its own per-loop counter in
+    ``While.execute`` and calls :meth:`ResourceGovernor.while_tick`
+    directly, so one governed scope still sees every loop tick whichever
+    language is executing.  Exhaustion raises
     :class:`~repro.core.errors.NonTerminationError` with structured
     context instead of a bare string.
     """
