@@ -2,8 +2,9 @@
 
 Three measurements:
 
-* **disabled** — with no governed scope active, every runtime chokepoint
-  is a single ``GOV.active`` check and the engine runs raw (the
+* **disabled** — with no governed scope active, the execution context's
+  ``governor`` field is None, every runtime chokepoint falls through
+  after one field check, and the engine runs raw (the
   zero-allocation discipline is pinned separately by
   ``tests/runtime/test_disabled_runtime.py``);
 * **enabled** — running under a governor with generous limits stays

@@ -3,7 +3,8 @@
 Three measurements:
 
 * **disabled** — with no lineage scope active, every provenance hook is
-  a single ``OBS.lineage is None`` check and the engine runs raw (the
+  a single check that the execution context's ``lineage`` field is None,
+  and the engine runs raw (the
   zero-allocation discipline is pinned separately by
   ``tests/obs/test_lineage.py``);
 * **enabled** — tagging the input cells and running with provenance

@@ -3,12 +3,14 @@
 Three guarantees are measured:
 
 * **disabled** — with no observation scope active, the instrumented
-  engine must be indistinguishable from the raw one (the guard is a
-  single attribute check per call site);
+  engine must be indistinguishable from the raw one (the guard is one
+  field check on the execution context per call site, and op dispatch
+  goes straight to the raw operation);
 * **enabled** — a full trace + metrics observation of the Figure 4
   pivot pipeline stays within a small constant factor of the raw run;
 * **event bus** — the same bar for the live event feed: with no
-  ``event_stream`` active the bus costs one ``EVT.active`` check, and
+  ``event_stream`` active the context's ``bus`` field is None and
+  dispatch has no events step, and
   with the feed on (one bounded ring subscriber) the run stays within
   the 1.5x overhead gate.
 
@@ -89,7 +91,7 @@ class TestOverhead:
 
 class TestEventBusOverhead:
     def test_events_disabled_runs_raw(self, benchmark):
-        """The disabled path: no bus, one attribute check per chokepoint."""
+        """The disabled path: no bus, one field check per chokepoint."""
         result = benchmark(run_pivot)
         assert "Pivot" in {str(n) for n in result.table_names()}
 

@@ -3,8 +3,8 @@
 Three guarantees are measured:
 
 * **disabled** — with no estimation scope active, the estimator layer
-  must be indistinguishable from the raw engine (one ``EST.active``
-  attribute check per dispatch);
+  must be indistinguishable from the raw engine (no estimate step in
+  the dispatch chain while the context's ``estimator`` field is None);
 * **enabled** — running the Figure 4 pivot pipeline with a prebuilt
   ANALYZE snapshot installed (so every dispatch predicts, runs, and
   scores) stays under the 1.5x overhead gate;
@@ -42,7 +42,7 @@ def run_pivot():
 
 class TestEstimationOverhead:
     def test_disabled_estimation_runs_raw(self, benchmark):
-        """The disabled path: no scope, one attribute check per dispatch."""
+        """The disabled path: no scope, no estimate step in dispatch."""
         result = benchmark(run_pivot)
         assert "Pivot" in {str(n) for n in result.table_names()}
 

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.context import current
 from repro.data import synthetic_sales_table
-from repro.obs import OBS
 from repro.obs.regress import current_git_sha, update_trajectory
 
 #: Row counts for scaling sweeps (kept laptop-friendly).
@@ -74,8 +74,9 @@ def report(label: str, **values) -> None:
     rendered = "  ".join(f"{k}={v}" for k, v in values.items())
     print(f"[{label}] {rendered}")
     record: dict = {"label": label, "values": values}
-    if OBS.active and OBS.metrics is not None and not OBS.metrics.is_empty():
-        record["metrics"] = OBS.metrics.snapshot()
+    metrics = current().metrics
+    if metrics is not None and not metrics.is_empty():
+        record["metrics"] = metrics.snapshot()
     _RUN["records"].append(record)
     _flush_runs()
 

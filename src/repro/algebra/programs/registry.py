@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
+from ...context import current
 from ...core import EvaluationError, FreshValueSource, Symbol, Table
-from ...engine import runtime as _engine
 from ...obs import estimator as _est
-from ...obs import events as _ev
-from ...obs import runtime as _obs
 from ...obs.trace import NULL_SPAN
-from ...runtime import governor as _gv
 from .. import (
     classical_union,
     const_column,
@@ -86,158 +84,59 @@ class OpSpec:
     ) -> tuple[Table, ...]:
         """Run the operation; always returns a tuple of result tables.
 
-        When an :func:`repro.obs.observation` scope is active, every
-        invocation is additionally timed, counted, and row/column
-        accounted — covering all registered operations without touching
-        their bodies.  When a :func:`repro.runtime.governor.governed`
-        scope is active, every invocation is additionally budget-checked
-        and fault-injected at this same boundary.  When an
-        :func:`repro.obs.events.event_stream` is active, the invocation
-        additionally publishes ``span_start``/``span_finish`` (and
-        ``error``) events around whichever of those layers applies.  The
-        disabled path pays one attribute check per layer.  When an
-        :func:`repro.obs.estimator.estimation` scope is active, the
-        outermost layer additionally predicts rows-out *before* dispatch
-        and records the estimate's q-error against the actual afterwards.
+        Reads the execution context (:mod:`repro.context`) once.  With
+        no layer on, the context's ``dispatch`` is None and the
+        operation runs raw.  Otherwise ``dispatch`` is the chain
+        :func:`_compose` built for the context when its scope was
+        entered, so every registered operation is instrumented at this
+        one boundary without touching its body.  Outermost first, a
+        step is in the chain only when its field is set:
+
+        * estimate (``estimator``) — predicts rows-out before dispatch
+          and records the estimate's q-error against the actual after;
+        * events (``bus``) — publishes ``span_start``/``span_finish``
+          (and ``error``) around the steps below;
+        * govern (``governor``, ``faults``) — budget checks and fault
+          injection around the op;
+        * observe (``tracer``, ``metrics``) — times, counts, and
+          row/column-accounts the invocation in a span.
         """
-        if _est.EST.active:
-            return self._invoke_estimated(tables, arguments, fresh)
-        # The chain below is duplicated in _invoke_inner (the estimated
-        # layer's continuation): keeping it inline here means the fully
-        # disabled dispatch pays attribute checks only, no extra frame.
-        if _ev.EVT.active:
-            return self._invoke_evented(tables, arguments, fresh)
-        if _gv.GOV.active:
-            return self._invoke_governed(tables, arguments, fresh)
-        if _obs.OBS.active:
-            return self._invoke_observed(tables, arguments, fresh)
-        return self._invoke_raw(tables, arguments, fresh)
-
-    def _invoke_inner(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """The event/governor/observation/raw chain (below estimation)."""
-        if _ev.EVT.active:
-            return self._invoke_evented(tables, arguments, fresh)
-        if _gv.GOV.active:
-            return self._invoke_governed(tables, arguments, fresh)
-        if _obs.OBS.active:
-            return self._invoke_observed(tables, arguments, fresh)
-        return self._invoke_raw(tables, arguments, fresh)
-
-    def _invoke_estimated(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """Predict, dispatch, then score the prediction.
-
-        Estimation is telemetry: prediction and scoring are wrapped so a
-        stats/estimator defect can never alter or kill a run.  The
-        prediction is handed to the observed layer through a per-thread
-        pending slot so EXPLAIN spans carry ``est_rows`` without
-        predicting twice.
-        """
-        estimator = _est.EST.estimator
-        predicted = None
-        if estimator is not None:
-            try:
-                predicted = estimator.predict(self.name, tables, arguments)
-            except Exception:
-                predicted = None
-            if predicted is not None:
-                _est._push_pending(predicted)
-        try:
-            produced = self._invoke_inner(tables, arguments, fresh)
-        finally:
-            _est._pop_pending()
-        if predicted is not None:
-            try:
-                estimator.observe(
-                    self.name, predicted, sum(t.height for t in produced)
-                )
-            except Exception:
-                pass
-        return produced
-
-    def _invoke_evented(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """Publish dispatch events around the governed/observed/raw chain."""
-        _ev.emit(
-            "span_start",
-            op=self.name,
-            tables_in=len(tables),
-            rows_in=sum(t.height for t in tables),
-        )
-        started = time.perf_counter()
-        try:
-            if _gv.GOV.active:
-                produced = self._invoke_governed(tables, arguments, fresh)
-            elif _obs.OBS.active:
-                produced = self._invoke_observed(tables, arguments, fresh)
-            else:
-                produced = self._invoke_raw(tables, arguments, fresh)
-        except Exception as err:
-            duration_ms = round((time.perf_counter() - started) * 1e3, 3)
-            _ev.emit(
-                "error",
-                op=self.name,
-                error=str(err),
-                error_type=type(err).__name__,
-            )
-            _ev.emit(
-                "span_finish", op=self.name, ok=False, duration_ms=duration_ms
-            )
-            raise
-        _ev.emit(
-            "span_finish",
-            op=self.name,
-            ok=True,
-            duration_ms=round((time.perf_counter() - started) * 1e3, 3),
-            tables_out=len(produced),
-            rows_out=sum(t.height for t in produced),
-        )
-        return produced
+        dispatch = current().dispatch
+        if dispatch is None:
+            return self._invoke_raw(tables, arguments, fresh)
+        return dispatch(self, tables, arguments, fresh)
 
     def _invoke_raw(
         self,
         tables: Sequence[Table],
         arguments: Mapping[str, object],
         fresh: FreshValueSource | None,
+        backend=None,
     ) -> tuple[Table, ...]:
+        """The operation itself, offered first to a vector ``backend``."""
         kwargs = dict(arguments)
         if self.needs_fresh:
             kwargs["source"] = fresh
         if self.aggregate:
-            eng = _engine.ENGINE
-            if eng.active and eng.backend is not None:
-                eng.backend.note_fallback(self.name, "aggregate")
+            if backend is not None:
+                backend.note_fallback(self.name, "aggregate")
             result = self.function(list(tables), **kwargs)
         else:
             if len(tables) != self.arity:
                 raise EvaluationError(
                     f"{self.name} expects {self.arity} argument table(s), got {len(tables)}"
                 )
-            eng = _engine.ENGINE
-            if eng.active and eng.backend is not None:
+            if backend is not None:
                 if self.needs_fresh:
-                    eng.backend.note_fallback(self.name, "needs_fresh")
+                    backend.note_fallback(self.name, "needs_fresh")
                 elif self.multi_result:
-                    eng.backend.note_fallback(self.name, "multi_result")
+                    backend.note_fallback(self.name, "multi_result")
                 else:
                     # Vectorized backend: a kernel may take the invocation;
                     # None means "no kernel / declined" and falls through
                     # to the naive operation below (per-invocation
                     # fallback, attributed by the backend).
-                    produced = eng.backend.dispatch(self.name, tables, kwargs)
+                    produced = backend.dispatch(self.name, tables, kwargs)
                     if produced is not None:
                         return (produced,)
             result = self.function(*tables, **kwargs)
@@ -245,111 +144,178 @@ class OpSpec:
             return tuple(result)
         return (result,)
 
-    def _invoke_governed(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """The hardened dispatch: budgets before, faults around, rows after.
 
-        The governor's ``before_op``/``account`` pair brackets the op;
-        the fault plan's ``before``/``after`` pair fires raise/delay
-        faults pre-dispatch and corrupt faults on the output.  Either
-        layer may be absent (governing without chaos and vice versa).
-        Observation, when also active, nests inside so failed ops still
-        close their spans with the error recorded.
-        """
-        gov = _gv.GOV
-        governor = gov.governor
-        faults = gov.faults
-        if governor is not None:
-            governor.before_op(self.name)
-        if faults is not None:
-            faults.before(self.name)
-        if _obs.OBS.active:
-            produced = self._invoke_observed(tables, arguments, fresh)
-        else:
-            produced = self._invoke_raw(tables, arguments, fresh)
-        if faults is not None:
-            produced = faults.after(self.name, produced)
-        if governor is not None:
-            governor.account(
-                self.name,
-                sum(t.height for t in produced),
-                sum(t.nrows * t.ncols for t in produced),
-            )
-            obs = _obs.OBS
-            if obs.active and obs.metrics is not None:
-                obs.metrics.count("governor_checks")
-        return produced
+def _compose(ctx) -> Callable:
+    """The dispatch chain for one :class:`repro.context.ExecutionContext`.
 
-    def _invoke_observed(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        obs = _obs.OBS
-        # Per-table (height, width) pairs: the cost model estimates from
-        # these, so they ride on the span next to the summed figures.
-        shapes_in = tuple((t.height, t.width) for t in tables)
-        tables_in = len(tables)
-        rows_in = sum(shape[0] for shape in shapes_in)
-        cols_in = sum(shape[1] for shape in shapes_in)
-        cm = obs.tracer.span(self.name) if obs.tracer is not None else NULL_SPAN
-        started = time.perf_counter()
+    Each step is a partial over the next step and the context fields it
+    uses: estimate → events → govern → observe → raw.  Nothing captures
+    ``spec.function`` or the backend's kernels; both are looked up at
+    call time.
+    """
+    chain = (
+        OpSpec._invoke_raw
+        if ctx.backend is None
+        else partial(OpSpec._invoke_raw, backend=ctx.backend)
+    )
+    if ctx.tracer is not None or ctx.metrics is not None:
+        chain = partial(_observe, chain, ctx.tracer, ctx.metrics, ctx.lineage)
+    if ctx.governor is not None or ctx.faults is not None:
+        chain = partial(_govern, chain, ctx.governor, ctx.faults, ctx.metrics)
+    if ctx.bus is not None:
+        chain = partial(_events, chain, ctx.bus)
+    if ctx.estimator is not None:
+        chain = partial(_estimate, chain, ctx.estimator)
+    return chain
+
+
+def _estimate(nxt, estimator, spec, tables, arguments, fresh):
+    """Predict, dispatch, then score the prediction.
+
+    Estimation is telemetry: prediction and scoring are wrapped so a
+    stats/estimator defect can never alter or kill a run.  The
+    prediction is handed to the observe step through a per-thread
+    pending slot so EXPLAIN spans carry ``est_rows`` without predicting
+    twice.
+    """
+    try:
+        predicted = estimator.predict(spec.name, tables, arguments)
+    except Exception:
+        predicted = None
+    if predicted is not None:
+        _est._push_pending(predicted)
+    try:
+        produced = nxt(spec, tables, arguments, fresh)
+    finally:
+        _est._pop_pending()
+    if predicted is not None:
         try:
-            with cm as sp:
-                sp.set(
-                    tables_in=tables_in,
-                    rows_in=rows_in,
-                    cols_in=cols_in,
-                    shapes_in=shapes_in,
-                )
-                # An active estimation scope handed its rows-out
-                # prediction over; stamp it so EXPLAIN shows est_rows
-                # from stats (not shape heuristics) wherever stats exist.
-                pending = _est._pop_pending()
-                if pending is not None:
-                    sp.set(est_rows=pending[0], est_source=pending[1])
-                produced = self._invoke_raw(tables, arguments, fresh)
-                sp.set(
-                    tables_out=len(produced),
-                    rows_out=sum(t.height for t in produced),
-                    cols_out=sum(t.width for t in produced),
-                    shapes_out=tuple((t.height, t.width) for t in produced),
-                )
-                if obs.lineage is not None:
-                    from ...obs.lineage import count_prov_cells
-
-                    sp.set(
-                        prov_cells_in=count_prov_cells(tables),
-                        prov_cells_out=count_prov_cells(produced),
-                    )
+            estimator.observe(spec.name, predicted, sum(t.height for t in produced))
         except Exception:
-            if obs.metrics is not None:
-                obs.metrics.record_op(
-                    self.name,
-                    time.perf_counter() - started,
-                    tables_in=tables_in,
-                    rows_in=rows_in,
-                    cols_in=cols_in,
-                    error=True,
+            pass
+    return produced
+
+
+def _events(nxt, bus, spec, tables, arguments, fresh):
+    """Publish dispatch events around the rest of the chain."""
+    bus.publish(
+        "span_start",
+        op=spec.name,
+        tables_in=len(tables),
+        rows_in=sum(t.height for t in tables),
+    )
+    started = time.perf_counter()
+    try:
+        produced = nxt(spec, tables, arguments, fresh)
+    except Exception as err:
+        duration_ms = round((time.perf_counter() - started) * 1e3, 3)
+        bus.publish(
+            "error", op=spec.name, error=str(err), error_type=type(err).__name__
+        )
+        bus.publish("span_finish", op=spec.name, ok=False, duration_ms=duration_ms)
+        raise
+    bus.publish(
+        "span_finish",
+        op=spec.name,
+        ok=True,
+        duration_ms=round((time.perf_counter() - started) * 1e3, 3),
+        tables_out=len(produced),
+        rows_out=sum(t.height for t in produced),
+    )
+    return produced
+
+
+def _govern(nxt, governor, faults, metrics, spec, tables, arguments, fresh):
+    """The hardened dispatch: budgets before, faults around, rows after.
+
+    The governor's ``before_op``/``account`` pair brackets the op; the
+    fault plan's ``before``/``after`` pair fires raise/delay faults
+    pre-dispatch and corrupt faults on the output.  Either may be absent
+    (governing without chaos and vice versa).  The observe step, when
+    present, nests inside so failed ops still close their spans with the
+    error recorded.
+    """
+    name = spec.name
+    if governor is not None:
+        governor.before_op(name)
+    if faults is not None:
+        faults.before(name)
+    produced = nxt(spec, tables, arguments, fresh)
+    if faults is not None:
+        produced = faults.after(name, produced)
+    if governor is not None:
+        governor.account(
+            name,
+            sum(t.height for t in produced),
+            sum(t.nrows * t.ncols for t in produced),
+        )
+        if metrics is not None:
+            metrics.count("governor_checks")
+    return produced
+
+
+def _observe(nxt, tracer, metrics, lineage, spec, tables, arguments, fresh):
+    """Time, count, and row/column-account one invocation in a span."""
+    name = spec.name
+    # Per-table (height, width) pairs: the cost model estimates from
+    # these, so they ride on the span next to the summed figures.
+    shapes_in = tuple((t.height, t.width) for t in tables)
+    tables_in = len(tables)
+    rows_in = sum(shape[0] for shape in shapes_in)
+    cols_in = sum(shape[1] for shape in shapes_in)
+    cm = tracer.span(name) if tracer is not None else NULL_SPAN
+    started = time.perf_counter()
+    try:
+        with cm as sp:
+            sp.set(
+                tables_in=tables_in,
+                rows_in=rows_in,
+                cols_in=cols_in,
+                shapes_in=shapes_in,
+            )
+            # An estimate step handed its rows-out prediction over; stamp
+            # it so EXPLAIN shows est_rows from stats (not shape
+            # heuristics) wherever stats exist.
+            pending = _est._pop_pending()
+            if pending is not None:
+                sp.set(est_rows=pending[0], est_source=pending[1])
+            produced = nxt(spec, tables, arguments, fresh)
+            sp.set(
+                tables_out=len(produced),
+                rows_out=sum(t.height for t in produced),
+                cols_out=sum(t.width for t in produced),
+                shapes_out=tuple((t.height, t.width) for t in produced),
+            )
+            if lineage is not None:
+                from ...obs.lineage import count_prov_cells
+
+                sp.set(
+                    prov_cells_in=count_prov_cells(tables),
+                    prov_cells_out=count_prov_cells(produced),
                 )
-            raise
-        if obs.metrics is not None:
-            obs.metrics.record_op(
-                self.name,
+    except Exception:
+        if metrics is not None:
+            metrics.record_op(
+                name,
                 time.perf_counter() - started,
                 tables_in=tables_in,
-                tables_out=len(produced),
                 rows_in=rows_in,
-                rows_out=sum(t.height for t in produced),
                 cols_in=cols_in,
-                cols_out=sum(t.width for t in produced),
+                error=True,
             )
-        return produced
+        raise
+    if metrics is not None:
+        metrics.record_op(
+            name,
+            time.perf_counter() - started,
+            tables_in=tables_in,
+            tables_out=len(produced),
+            rows_in=rows_in,
+            rows_out=sum(t.height for t in produced),
+            cols_in=cols_in,
+            cols_out=sum(t.width for t in produced),
+        )
+    return produced
 
 
 def _spec(name, function, arity=1, params=None, **flags) -> tuple[str, OpSpec]:

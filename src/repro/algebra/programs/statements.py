@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ...context import current
 from ...core import (
     EvaluationError,
     FreshValueSource,
@@ -31,12 +32,7 @@ from ...core import (
     TabularDatabase,
     Table,
 )
-from ...engine import runtime as _engine
-from ...obs import estimator as _est
-from ...obs import events as _ev
-from ...obs import runtime as _obs
 from ...obs.trace import NULL_SPAN
-from ...runtime import governor as _gv
 from .params import Binding, Lit, Parameter, Star, as_parameter
 from .registry import OPERATIONS, PARAM_ENTRY, PARAM_SET, PARAM_SINGLE, OpSpec
 
@@ -62,12 +58,8 @@ def store_results(
     renaming keeps each result's interned form, so the kernel of the next
     statement reading the target finds it in the interner's cache.
     """
-    eng = _engine.ENGINE
-    rename = (
-        eng.backend.interner.renamed
-        if eng.active and eng.backend is not None
-        else Table.with_name
-    )
+    backend = current().backend
+    rename = backend.interner.renamed if backend is not None else Table.with_name
     for target, produced in results.items():
         db = db.replace_named(target, [rename(t, target) for t in produced])
     return db
@@ -181,16 +173,15 @@ class Assignment(Statement):
     # -- execution ------------------------------------------------------
 
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
+        ctx = current()
+        if ctx.governor is not None:
             # Statement-entry check: deadline/cancellation trip even when
             # no combination matches and no op is ever dispatched.
-            gov.governor.check(op=self.spec.name)
-        obs = _obs.OBS
-        observing = obs.active
+            ctx.governor.check(op=self.spec.name)
+        observing = ctx.tracer is not None or ctx.metrics is not None
         cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
+            ctx.tracer.span("statement", text=repr(self))
+            if ctx.tracer is not None
             else NULL_SPAN
         )
         with cm as sp:
@@ -227,7 +218,7 @@ class Assignment(Statement):
                 )
                 if bindings_seen:
                     sp.set(bindings=bindings_seen)
-                if obs.lineage is not None:
+                if ctx.lineage is not None:
                     from ...obs.lineage import count_prov_cells
 
                     sp.set(
@@ -235,9 +226,9 @@ class Assignment(Statement):
                             t for name in results for t in new_db.tables_named(name)
                         )
                     )
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
+                if ctx.metrics is not None:
+                    ctx.metrics.count("statements")
+                    ctx.metrics.count("combinations", combinations)
             return new_db
 
     def __repr__(self) -> str:
@@ -303,48 +294,48 @@ class While(Statement):
         ``body_index`` first finishes that iteration's body from
         ``body_index`` on, without re-testing the condition.
         """
-        obs = _obs.OBS
-        observing = obs.active
+        ctx = current()
+        observing = ctx.tracer is not None or ctx.metrics is not None
         cm = (
-            obs.tracer.span("while", text=str(self.condition))
-            if observing and obs.tracer is not None
+            ctx.tracer.span("while", text=str(self.condition))
+            if ctx.tracer is not None
             else NULL_SPAN
         )
         with cm as sp:
             body_index, iterations = resume
             condition_rows: list[int] = []
             prov_frontier: list[int] = []
-            lineage_on = observing and obs.lineage is not None
-            gov = _gv.GOV
+            lineage_on = observing and ctx.lineage is not None
+            governor, bus, estimator = ctx.governor, ctx.bus, ctx.estimator
             predicted_iterations = None
-            if resume == (0, 0) and _est.EST.active and _est.EST.estimator is not None:
+            if resume == (0, 0) and estimator is not None:
                 # Predict the fixpoint's iteration count from the
                 # loop-entry frontier; scored under the pseudo-op WHILE.
                 try:
-                    predicted_iterations = _est.EST.estimator.predict_while(
+                    predicted_iterations = estimator.predict_while(
                         str(self.condition), self._condition_rows(db, interp)
                     )
                 except Exception:
                     predicted_iterations = None
             prev_rows = prev_cells = 0
-            if _ev.EVT.active:
+            if bus is not None:
                 prev_rows = sum(t.height for t in db.tables)
                 prev_cells = sum(t.nrows * t.ncols for t in db.tables)
             if body_index:
                 db = self._step_body(db, interp, body_index, index, iterations)
             while self._holds(db, interp):
                 iterations += 1
-                if gov.active and gov.governor is not None:
+                if governor is not None:
                     # Deadline/cancellation/governor iteration cap, once
                     # per tick — the same chokepoint the FO+while budget
                     # delegates to, so both languages share one governor.
-                    gov.governor.while_tick(str(self.condition), iterations)
-                if _ev.EVT.active:
+                    governor.while_tick(str(self.condition), iterations)
+                if bus is not None:
                     # Fixpoint frontier, live: condition rows plus the
                     # database's row/cell growth since the previous tick.
                     total_rows = sum(t.height for t in db.tables)
                     total_cells = sum(t.nrows * t.ncols for t in db.tables)
-                    _ev.emit(
+                    bus.publish(
                         "while_iteration",
                         condition=str(self.condition),
                         iteration=iterations,
@@ -375,20 +366,18 @@ class While(Statement):
                         from ...obs.lineage import table_origins
 
                         prov_frontier.append(len(table_origins(db)))
-                    if obs.metrics is not None:
-                        obs.metrics.count("while_iterations")
-                    if obs.tracer is not None:
-                        with obs.tracer.span("iteration", n=iterations):
+                    if ctx.metrics is not None:
+                        ctx.metrics.count("while_iterations")
+                    if ctx.tracer is not None:
+                        with ctx.tracer.span("iteration", n=iterations):
                             db = self._step_body(db, interp, 0, index, iterations)
                         continue
                 db = self._step_body(db, interp, 0, index, iterations)
             if predicted_iterations is not None:
-                estimator = _est.EST.estimator
-                if estimator is not None:
-                    try:
-                        estimator.observe("WHILE", predicted_iterations, iterations)
-                    except Exception:
-                        pass
+                try:
+                    estimator.observe("WHILE", predicted_iterations, iterations)
+                except Exception:
+                    pass
                 if observing:
                     sp.set(est_iterations=predicted_iterations[0])
             if observing:
@@ -398,8 +387,8 @@ class While(Statement):
 
                     prov_frontier.append(len(table_origins(db)))
                     sp.set(prov_frontier=prov_frontier)
-                if obs.metrics is not None:
-                    obs.metrics.count("while_loops")
+                if ctx.metrics is not None:
+                    ctx.metrics.count("while_loops")
             return db
 
     def __repr__(self) -> str:
@@ -520,14 +509,14 @@ class Interpreter:
         first, body_index, iteration = start
         if self.boundary is not None:
             self.boundary(db, first, body_index, iteration)
-        obs = _obs.OBS
-        observing = obs.active
+        ctx = current()
+        observing = ctx.tracer is not None or ctx.metrics is not None
         cm = (
-            obs.tracer.span("program", statements=len(program))
-            if observing and obs.tracer is not None
+            ctx.tracer.span("program", statements=len(program))
+            if ctx.tracer is not None
             else NULL_SPAN
         )
-        gov = _gv.GOV.governor if _gv.GOV.active else None
+        gov = ctx.governor
         previous = gov.statement if gov is not None else None
         out = db
         with cm as sp:
@@ -554,8 +543,8 @@ class Interpreter:
                     gov.statement = previous
             if observing:
                 sp.set(tables_in=len(db), tables_out=len(out))
-                if obs.metrics is not None:
-                    obs.metrics.count("programs")
+                if ctx.metrics is not None:
+                    ctx.metrics.count("programs")
         return out
 
 

@@ -19,8 +19,8 @@ decision forced by the figures — see DESIGN.md, Section 3, decision 9.
 
 from __future__ import annotations
 
+from ..context import current
 from ..core import NULL, Symbol, Table
-from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import as_attr_set, as_attr_symbol, columns_with_attr_in
 from .transposition import transpose
@@ -45,7 +45,7 @@ def _merge_rows(table: Table, rows: list[int]) -> list[Symbol] | None:
     the group's entries in that column (⊥ entries included), so
     duplicate elimination unions rather than drops provenance.
     """
-    lin = _obs.OBS.lineage
+    lin = current().lineage
     merged: list[Symbol] = []
     for j in range(table.ncols):
         candidate: Symbol = NULL

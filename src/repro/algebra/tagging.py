@@ -14,8 +14,8 @@ freshness is global (see DESIGN.md decision 14).
 
 from __future__ import annotations
 
+from ..context import current
 from ..core import FreshValueSource, LimitExceededError, Symbol, Table
-from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import as_attr_symbol
 
@@ -43,7 +43,7 @@ def tuplenew(
     Under an active lineage scope each fresh tag derives from the row it
     identifies (the tag is "about" that tuple).
     """
-    lin = _obs.OBS.lineage
+    lin = current().lineage
     src = source if source is not None else FreshValueSource()
     column: list[Symbol] = [as_attr_symbol(attr)]
     if lin is None:
@@ -81,7 +81,7 @@ def setnew(
             used=m,
             limit=limit,
         )
-    lin = _obs.OBS.lineage
+    lin = current().lineage
     src = source if source is not None else FreshValueSource()
     header = list(table.row(0)) + [as_attr_symbol(attr)]
     grid: list[list[Symbol]] = [header]

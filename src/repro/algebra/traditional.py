@@ -18,8 +18,8 @@ of an assignment statement); by default the left operand's name is kept.
 
 from __future__ import annotations
 
+from ..context import current
 from ..core import NULL, Symbol, Table
-from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import (
     as_attr_set,
@@ -101,7 +101,7 @@ def product(rho: Table, sigma: Table, name: object | None = None) -> Table:
     this is what makes multi-hop witnesses (e.g. transitive closure)
     cite their intermediate edges.
     """
-    lin = _obs.OBS.lineage
+    lin = current().lineage
     grid = [rho.row(0) + sigma.column_attributes]
     if lin is None:
         for i in rho.data_row_indices():
@@ -128,7 +128,7 @@ def rename(table: Table, old: object, new: object, name: object | None = None) -
     Under an active lineage scope each substituted attribute derives
     from the attribute cell it replaces.
     """
-    lin = _obs.OBS.lineage
+    lin = current().lineage
     old_sym = as_attr_symbol(old)
     new_sym = as_attr_symbol(new)
     header = list(table.row(0))

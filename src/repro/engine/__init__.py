@@ -2,9 +2,10 @@
 
 Layout:
 
-* :mod:`repro.engine.runtime` — the global ``ENGINE`` switch, the
-  ``VectorEngine`` backend object, and the ``engine_scope()`` context
-  manager consulted by the operation registry;
+* :mod:`repro.engine.runtime` — the ``VectorEngine`` backend object and
+  the ``engine_scope()`` context manager, which sets the execution
+  context's ``backend`` field (:mod:`repro.context`) that the operation
+  registry's dispatch hands to the raw operation;
 * :mod:`repro.engine.interning` — symbol ↔ integer-id interning and the
   :class:`IdTable` id-column table representation;
 * :mod:`repro.engine.kernels` — the hash-based kernel catalogue;
@@ -12,16 +13,14 @@ Layout:
 * :mod:`repro.engine.run` — ``run_program(..., engine="vector")``;
 * :mod:`repro.engine.report` — kernel/fallback attribution reporting.
 
-Only :mod:`~repro.engine.runtime` is imported eagerly: the operation
-registry imports this package while the algebra package is still
-initialising, so everything that depends on the algebra (planner, run)
-is exposed lazily via module ``__getattr__``.
+Only :mod:`~repro.engine.runtime` is imported eagerly: everything that
+depends on the algebra (planner, run) is exposed lazily via module
+``__getattr__``, so importing the backend never imports the algebra.
 """
 
-from .runtime import ENGINE, FALLBACK_REASONS, VectorEngine, engine_scope
+from .runtime import FALLBACK_REASONS, VectorEngine, engine_scope
 
 __all__ = [
-    "ENGINE",
     "ENGINES",
     "FALLBACK_REASONS",
     "VectorEngine",

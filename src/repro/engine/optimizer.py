@@ -95,12 +95,10 @@ from ..algebra.programs.statements import (
     While,
     store_results,
 )
+from ..context import current
 from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
-from ..obs import events as _ev
-from ..obs import runtime as _obs
 from ..obs.stats import DatabaseStats
 from ..obs.trace import NULL_SPAN
-from ..runtime import governor as _gv
 from .planner import _fusable, _fuse
 
 __all__ = [
@@ -899,20 +897,19 @@ class ChainJoin(Statement):
         return Table(grid)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
-            gov.governor.check(op=CHAINJOIN_OP)
-        obs = _obs.OBS
-        observing = obs.active
-        if observing and obs.lineage is not None:
+        ctx = current()
+        if ctx.governor is not None:
+            ctx.governor.check(op=CHAINJOIN_OP)
+        observing = ctx.tracer is not None or ctx.metrics is not None
+        if observing and ctx.lineage is not None:
             # The provenance fold over column 0 is order-sensitive; the
             # original statements thread it correctly.
             for statement in self.source:
                 db = statement.execute(db, interp)
             return db
         cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
+            ctx.tracer.span("statement", text=repr(self))
+            if ctx.tracer is not None
             else NULL_SPAN
         )
         with cm as sp:
@@ -940,9 +937,9 @@ class ChainJoin(Statement):
                     sp.set(est_rows=self.est_rows, est_source="stats")
                 if stale:
                     sp.set(stale_combinations=stale)
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
+                if ctx.metrics is not None:
+                    ctx.metrics.count("statements")
+                    ctx.metrics.count("combinations", combinations)
             return new_db
 
     def __repr__(self) -> str:
@@ -1010,14 +1007,13 @@ class SelectUnion(Statement):
         return frozenset(a.symbol for a in self.args)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
-            gov.governor.check(op="SELECTUNION")
-        obs = _obs.OBS
-        observing = obs.active
+        ctx = current()
+        if ctx.governor is not None:
+            ctx.governor.check(op="SELECTUNION")
+        observing = ctx.tracer is not None or ctx.metrics is not None
         cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
+            ctx.tracer.span("statement", text=repr(self))
+            if ctx.tracer is not None
             else NULL_SPAN
         )
         with cm as sp:
@@ -1050,9 +1046,9 @@ class SelectUnion(Statement):
                     tables_out=len(new_db),
                     rules=["select-pushdown-union"],
                 )
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
+                if ctx.metrics is not None:
+                    ctx.metrics.count("statements")
+                    ctx.metrics.count("combinations", combinations)
             return new_db
 
     def __repr__(self) -> str:
@@ -1296,8 +1292,9 @@ def optimize_program(
     )
     for rewrite in result.applied:
         OPTIMIZER_STATS.record_rewrite(rewrite.rule)
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "plan_rewrite",
                 rule=rewrite.rule,
                 detail=rewrite.detail,

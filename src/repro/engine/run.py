@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
+from ..context import current
 from ..core import EvaluationError, FreshValueSource, TabularDatabase
 from .planner import plan_program
 from .runtime import VectorEngine, engine_scope
@@ -46,11 +47,11 @@ def prepare_program(
     :class:`~repro.core.EvaluationError`.
     """
     if optimize:
-        from ..obs import estimator as _est
         from .optimizer import optimize_program
 
-        if stats is None and _est.EST.active and _est.EST.estimator is not None:
-            stats = _est.EST.estimator.stats
+        estimator = current().estimator
+        if stats is None and estimator is not None:
+            stats = estimator.stats
         program = optimize_program(program, stats).program
     if engine in (None, "naive"):
         return program, nullcontext()

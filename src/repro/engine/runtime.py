@@ -1,10 +1,10 @@
-"""The global engine switch and the ``engine_scope()`` scope.
+"""The vectorized backend and the ``engine_scope()`` scope.
 
-Mirrors :mod:`repro.obs.runtime`: one module-level singleton,
-:data:`ENGINE`, is consulted by the operation registry's raw dispatch.
-When ``ENGINE.active`` is False — the default — every invocation falls
-through to the naive operation after a single attribute check, so the
-vectorized backend costs nothing unless switched on::
+The backend is the execution context's ``backend`` field
+(:mod:`repro.context`), handed to the operation registry's raw dispatch
+by the context's dispatch chain.  When it is None — the default — every
+invocation runs the naive operation, so the vectorized backend costs
+nothing unless switched on::
 
     from repro.engine.runtime import VectorEngine, engine_scope
 
@@ -12,7 +12,7 @@ vectorized backend costs nothing unless switched on::
         out = program.run(db)
     print(backend.stats)        # kernel hits / fallbacks per operation
 
-Scopes nest and restore the previous state on exit, exactly like
+Scopes nest and restore the previous context on exit, exactly like
 ``observation()`` and ``governed()``.  The backend holds the symbol
 interner, so tables interned by one kernel stay interned for the next —
 entering a fresh scope per program run keeps the id space bounded.
@@ -23,10 +23,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
-from ..obs import events as _ev
-from ..obs import runtime as _obs
+from ..context import current, scope
 
-__all__ = ["ENGINE", "VectorEngine", "engine_scope", "FALLBACK_REASONS"]
+__all__ = ["VectorEngine", "engine_scope", "FALLBACK_REASONS"]
 
 #: The machine-readable vocabulary of fallback reasons.  Every naive
 #: fallback under an engine scope is tagged with exactly one of these
@@ -48,20 +47,6 @@ FALLBACK_REASONS = (
     "multi_result",
     "aggregate",
 )
-
-
-class _EngineState:
-    """The mutable global: one attribute check guards the raw dispatch."""
-
-    __slots__ = ("active", "backend")
-
-    def __init__(self):
-        self.active = False
-        self.backend: VectorEngine | None = None
-
-
-#: The process-wide engine state consulted by ``OpSpec._invoke_raw``.
-ENGINE = _EngineState()
 
 
 class VectorEngine:
@@ -102,8 +87,9 @@ class VectorEngine:
         self.stats[f"fallback:{name}"] = self.stats.get(f"fallback:{name}", 0) + 1
         key = f"reason:{name}:{reason}"
         self.stats[key] = self.stats.get(key, 0) + 1
-        if _ev.EVT.active:
-            _ev.emit("engine_fallback", op=name, reason=reason)
+        bus = current().bus
+        if bus is not None:
+            bus.publish("engine_fallback", op=name, reason=reason)
 
     def dispatch(self, name: str, tables: Sequence, arguments: Mapping[str, object]):
         """A result :class:`~repro.core.table.Table`, or None to fall back.
@@ -116,7 +102,8 @@ class VectorEngine:
         if kernel is None:
             self.note_fallback(name, "no_kernel")
             return None
-        if _obs.OBS.lineage is not None:
+        ctx = current()
+        if ctx.lineage is not None:
             self.note_fallback(name, "lineage_active")
             return None
         result = kernel(self.interner, tables, arguments)
@@ -125,11 +112,12 @@ class VectorEngine:
             return None
         self.stats["kernel_calls"] += 1
         self.stats[f"kernel:{name}"] = self.stats.get(f"kernel:{name}", 0) + 1
-        if _ev.EVT.active:
-            _ev.emit("engine_dispatch", op=name, rows_in=sum(t.height for t in tables))
-        obs = _obs.OBS
-        if obs.active and obs.metrics is not None:
-            obs.metrics.count("vector_kernel_hits")
+        if ctx.bus is not None:
+            ctx.bus.publish(
+                "engine_dispatch", op=name, rows_in=sum(t.height for t in tables)
+            )
+        if ctx.metrics is not None:
+            ctx.metrics.count("vector_kernel_hits")
         return result
 
 
@@ -138,9 +126,5 @@ def engine_scope(backend: VectorEngine | None = None) -> Iterator[VectorEngine]:
     """Route registry dispatch through ``backend`` inside the block."""
     if backend is None:
         backend = VectorEngine()
-    previous = (ENGINE.active, ENGINE.backend)
-    ENGINE.active, ENGINE.backend = True, backend
-    try:
+    with scope(backend=backend):
         yield backend
-    finally:
-        ENGINE.active, ENGINE.backend = previous

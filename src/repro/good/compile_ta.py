@@ -323,15 +323,15 @@ class _Emitter:
 
 def compile_to_fw(program: GoodProgram) -> FWProgram:
     """Compile a GOOD program (sans abstraction) into FO + while + new."""
-    from ..obs.runtime import OBS as _OBS, span as _span
+    from ..context import current
     from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
 
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.good")
+    ctx = current()
+    if ctx.governor is not None:
+        ctx.governor.check(op="compile.good")
     with (
-        _span("compile.good", operations=len(program.operations))
-        if _OBS.active
+        ctx.tracer.span("compile.good", operations=len(program.operations))
+        if ctx.tracer is not None
         else _NULL_SPAN
     ) as sp:
         emitter = _Emitter()

@@ -4,8 +4,8 @@ The engine is instrumented at every layer — the algebra operation
 registry, the program interpreter, the FO+while+new interpreter, the
 SchemaLog/SchemaSQL/GOOD compilers, and the OLAP/n-dim bridges — but all
 instrumentation is a strict no-op until an :func:`observation` scope is
-entered (one attribute check on :data:`~repro.obs.runtime.OBS` guards
-every hot path).
+entered (one field check on the execution context,
+:func:`repro.context.current`, guards every hot path).
 
 Typical use::
 
@@ -25,12 +25,11 @@ cell-level why-provenance queries and the witness-replay audit, and
 """
 
 from .metrics import MetricsRegistry, OpMetrics
-from .runtime import OBS, Observation, observation, span
+from .runtime import Observation, observation, span
 from .trace import NULL_SPAN, Span, Tracer
 from .events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
-    EVT,
     Event,
     EventBus,
     JsonlEventWriter,
@@ -98,7 +97,6 @@ from .stats import (
     validate_stats_data,
 )
 from .estimator import (
-    EST,
     QERROR_BUCKETS,
     CardinalityEstimator,
     EstimateAccuracy,
@@ -112,12 +110,10 @@ from .workload import (
     stats_audit,
 )
 from .ledger import (
-    LEDGER,
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     RunRecorder,
     database_digest,
-    ledger_scope,
     new_run_id,
 )
 from .replay import (
@@ -131,10 +127,6 @@ from .replay import (
 from .sentinel import DriftFinding, SentinelReport, sentinel_report
 
 __all__ = [
-    "OBS",
-    "EVT",
-    "EST",
-    "LEDGER",
     "LEDGER_SCHEMA_VERSION",
     "NULL_SPAN",
     "EVENT_KINDS",
@@ -197,7 +189,6 @@ __all__ = [
     "format_span",
     "graph_to_dot",
     "jsonl_records",
-    "ledger_scope",
     "lineage",
     "lint_prometheus_text",
     "load_stats",

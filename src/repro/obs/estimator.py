@@ -9,11 +9,10 @@ table, and continuously measures how wrong every prediction was via the
 estimation accuracy metric (1.0 is perfect, symmetric in over- and
 under-estimation).
 
-The scope follows the ``OBS``/``GOV``/``EVT`` architecture exactly: one
-module-level singleton, :data:`EST`, guards the registry chokepoint.
-When ``EST.active`` is False — the default — dispatch falls through
-after a single attribute check and the zero-allocation audit holds.
-:func:`estimation` switches prediction on::
+The estimator is the execution context's ``estimator`` field
+(:mod:`repro.context`).  When it is None — the default — the registry's
+dispatch chain has no estimate step and the zero-allocation audit
+holds.  :func:`estimation` switches prediction on::
 
     from repro.obs.estimator import estimation
     from repro.obs.stats import analyze_database
@@ -42,12 +41,12 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
+from ..context import current, scope
 from ..core import Symbol, Table
 from .stats import DatabaseStats, TableStats
 
 __all__ = [
     "QERROR_BUCKETS",
-    "EST",
     "OpAccuracy",
     "EstimateAccuracy",
     "CardinalityEstimator",
@@ -230,10 +229,9 @@ class CardinalityEstimator:
         """Record one prediction's q-error; emits ``op_estimate`` if live."""
         est, source = predicted
         q = self.accuracy.record(op, est, actual_rows, source)
-        from . import events as _ev
-
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "op_estimate",
                 op=op,
                 est_rows=est,
@@ -409,25 +407,11 @@ class CardinalityEstimator:
 
 
 # ----------------------------------------------------------------------
-# The scope singleton
+# The scope
 # ----------------------------------------------------------------------
 
-class _EstState:
-    """The mutable global: one attribute check guards the dispatch site."""
-
-    __slots__ = ("active", "estimator")
-
-    def __init__(self):
-        self.active = False
-        #: The installed :class:`CardinalityEstimator`, or None.
-        self.estimator: CardinalityEstimator | None = None
-
-
-#: The process-wide estimation state consulted by the operation registry.
-EST = _EstState()
-
-#: Per-thread handoff of the most recent prediction from the estimated
-#: dispatch layer to the observed layer's span (so EXPLAIN sees it
+#: Per-thread handoff of the most recent prediction from the estimate
+#: dispatch step to the observe step's span (so EXPLAIN sees it
 #: without predicting twice).
 _PENDING = threading.local()
 
@@ -458,10 +442,5 @@ def estimation(
     """
     if estimator is None:
         estimator = CardinalityEstimator(stats, accuracy=accuracy)
-    previous = (EST.active, EST.estimator)
-    EST.estimator = estimator
-    EST.active = True
-    try:
+    with scope(estimator=estimator):
         yield estimator
-    finally:
-        EST.active, EST.estimator = previous

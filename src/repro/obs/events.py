@@ -10,12 +10,11 @@ while the run is still executing.  A server streaming job progress over
 a WebSocket, a progress ticker on a terminal, and the flight recorder's
 postmortem ring are all just subscribers.
 
-The bus follows the ``OBS``/``GOV`` architecture exactly: one
-module-level singleton, :data:`EVT`, guards every publish site.  When
-``EVT.active`` is False — the default — each chokepoint falls through
-after a single attribute check, no event payload is ever built, and the
-zero-allocation audit holds.  :func:`event_stream` switches the feed
-on::
+The bus is the execution context's ``bus`` field
+(:mod:`repro.context`).  When it is None — the default — each
+chokepoint falls through after one field check, no event payload is
+ever built, and the zero-allocation audit holds.  :func:`event_stream`
+switches the feed on::
 
     from repro.obs.events import event_stream
 
@@ -52,6 +51,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
+from ..context import current, scope
+
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_KINDS",
@@ -59,7 +60,6 @@ __all__ = [
     "RingSubscriber",
     "EventBus",
     "JsonlEventWriter",
-    "EVT",
     "emit",
     "event_stream",
 ]
@@ -326,31 +326,15 @@ class JsonlEventWriter:
             self._handle.close()
 
 
-class _EvtState:
-    """The mutable global: one attribute check guards every publish site."""
-
-    __slots__ = ("active", "bus")
-
-    def __init__(self):
-        self.active = False
-        #: The installed :class:`EventBus`, or None.
-        self.bus: EventBus | None = None
-
-
-#: The process-wide event-bus state consulted by all chokepoints.
-EVT = _EvtState()
-
-
 def emit(kind: str, /, **data) -> None:
-    """Publish to the active bus, if any.
+    """Publish to the current context's bus, if any.
 
-    Chokepoints guard the call with ``if EVT.active:`` *before* building
-    the payload kwargs, so the disabled path allocates nothing; this
-    helper re-checks the bus so a racing scope exit degrades to a no-op
-    rather than an AttributeError.  ``kind`` is positional-only so
-    payloads may carry their own ``kind`` field.
+    Chokepoints read ``current().bus`` and publish to it directly, so the
+    disabled path builds no payload and allocates nothing; this helper is
+    the one-call form for code off the hot path.  ``kind`` is
+    positional-only so payloads may carry their own ``kind`` field.
     """
-    bus = EVT.bus
+    bus = current().bus
     if bus is not None:
         bus.publish(kind, **data)
 
@@ -359,17 +343,12 @@ def emit(kind: str, /, **data) -> None:
 def event_stream(bus: EventBus | None = None) -> Iterator[EventBus]:
     """Enable event publishing for the duration of the ``with`` block.
 
-    Installs ``bus`` (or a fresh one) as the process-wide feed and
-    restores the previous state on exit, so scopes nest exactly like
+    Installs ``bus`` (or a fresh one) as the context's feed and restores
+    the previous context on exit, so scopes nest exactly like
     ``observation()`` and ``governed()``: an inner stream shadows the
     outer one and the outer resumes untouched.
     """
     if bus is None:
         bus = EventBus()
-    previous = (EVT.active, EVT.bus)
-    EVT.bus = bus
-    EVT.active = True
-    try:
+    with scope(bus=bus):
         yield bus
-    finally:
-        EVT.active, EVT.bus = previous

@@ -54,10 +54,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
+from ..context import current
 from ..core.errors import ContextualError, ReproError
-from . import estimator as _est
-from . import runtime as _obs
-from .events import EVT, EventBus, RingSubscriber, event_stream
+from .events import EventBus, RingSubscriber, event_stream
+from .runtime import Observation
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -183,27 +183,26 @@ class FlightRecorder:
             for event in events:
                 handle.write(json.dumps(event.to_json()) + "\n")
 
-        obs = _obs.OBS
-        if obs.active and obs.metrics is not None:
+        ctx = current()
+        if ctx.metrics is not None:
             (bundle / "metrics.json").write_text(
-                json.dumps(obs.metrics.snapshot(), indent=2) + "\n"
+                json.dumps(ctx.metrics.snapshot(), indent=2) + "\n"
             )
             files.append("metrics.json")
-        if obs.active and obs.tracer is not None:
+        if ctx.tracer is not None:
             from .explain import explain_text
 
-            snapshot = _obs.Observation(obs.tracer, obs.metrics)
+            snapshot = Observation(ctx.tracer, ctx.metrics)
             (bundle / "explain.txt").write_text(explain_text(snapshot) + "\n")
             files.append("explain.txt")
         if self.program_text is not None:
             (bundle / "plan.txt").write_text(self.program_text + "\n")
             files.append("plan.txt")
         stats = self.stats
-        if stats is None and _est.EST.active:
+        if stats is None and ctx.estimator is not None:
             # No snapshot was noted but an estimation scope is live:
             # include what the estimator is actually consulting.
-            estimator = _est.EST.estimator
-            stats = estimator.stats if estimator is not None else None
+            stats = ctx.estimator.stats
         if stats is not None:
             (bundle / "stats.json").write_text(
                 json.dumps(stats.to_json(), indent=2) + "\n"
@@ -268,13 +267,14 @@ def flight_recorder(
     nothing.  Dump failures are swallowed: a postmortem must never mask
     the error it documents.
     """
+    live = current().bus
     with ExitStack() as stack:
         if bus is not None:
             active_bus = bus
-            if not (EVT.active and EVT.bus is bus):
+            if live is not bus:
                 stack.enter_context(event_stream(bus))
-        elif EVT.active and EVT.bus is not None:
-            active_bus = EVT.bus
+        elif live is not None:
+            active_bus = live
         else:
             active_bus = stack.enter_context(event_stream())
         recorder = FlightRecorder(active_bus, directory=directory, capacity=capacity)

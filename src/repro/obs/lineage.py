@@ -26,8 +26,8 @@ the program interpreter (including while-loop fixpoints), the compiled
 frontends, and the OLAP bridges.
 
 The places where symbols are *created* rather than copied union their
-parents' provenance explicitly (guarded by ``OBS.lineage``, off by
-default and allocation-free when disabled):
+parents' provenance explicitly (guarded by the execution context's
+``lineage`` field, off by default and allocation-free when disabled):
 
 * ``RENAME`` — the new attribute inherits the renamed cell's lineage;
 * ``PRODUCT`` — the combined row attribute accumulates the lineage of
@@ -63,10 +63,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ..context import scope
 from ..core.database import TabularDatabase
 from ..core.symbols import Name, Null, Symbol, TaggedValue, Value
 from ..core.table import Table
-from . import runtime as _runtime
 
 __all__ = [
     "CellRef",
@@ -433,12 +433,8 @@ class Lineage:
             # Replay under this scope so the algebra's provenance-union
             # hooks stay live even when called after the original
             # ``lineage()`` block has exited.
-            previous = _runtime.OBS.lineage
-            _runtime.OBS.lineage = self
-            try:
+            with scope(lineage=self):
                 out = run(self.restrict(witness))
-            finally:
-                _runtime.OBS.lineage = previous
         origins = frozenset(witness.origins)
         target = witness.symbol
         target_tagged = isinstance(target, TaggedValue)
@@ -470,12 +466,8 @@ def lineage() -> Iterator[Lineage]:
     annotations on EXPLAIN spans (when an observation is also active).
     """
     lin = Lineage()
-    previous = _runtime.OBS.lineage
-    _runtime.OBS.lineage = lin
-    try:
+    with scope(lineage=lin):
         yield lin
-    finally:
-        _runtime.OBS.lineage = previous
 
 
 def _output_labels(db: TabularDatabase) -> list[str]:

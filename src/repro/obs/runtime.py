@@ -1,11 +1,11 @@
-"""The global observation switch and the ``observation()`` scope.
+"""The ``observation()`` scope: tracing and metrics for one run.
 
 The engine's instrumentation points (the operation registry, the
-interpreter, the compilers, the OLAP/n-dim bridges) all consult one
-module-level singleton, :data:`OBS`.  When ``OBS.active`` is False —
-the default — every instrumented call site falls through after a single
-attribute check, and tracing/metrics code never runs; this is the
-"strict no-op" contract the zero-overhead tests pin down.
+interpreter, the compilers, the OLAP/n-dim bridges) read the execution
+context (:mod:`repro.context`).  When its ``tracer`` and ``metrics``
+fields are None — the default — every instrumented call site falls
+through after one field check, and tracing/metrics code never runs;
+this is the "strict no-op" contract the zero-overhead tests pin down.
 
 :func:`observation` is the way to switch collection on::
 
@@ -18,10 +18,12 @@ attribute check, and tracing/metrics code never runs; this is the
 
 Entering the scope installs a fresh :class:`~repro.obs.trace.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` (either can be switched off)
-and restores the previous state on exit, so scopes nest: an inner
-``observation()`` shadows the outer one and the outer resumes untouched.
-The scope is process-global; threads spawned *inside* it record into the
-same collectors (each with its own span stack).
+in a new context and restores the previous one on exit, so scopes nest:
+an inner ``observation()`` shadows the outer one and the outer resumes
+untouched.  The scope belongs to the running thread's context: a bare
+:class:`threading.Thread` starts outside it, and a thread that should
+record into the same collectors (each thread with its own span stack)
+runs its work in ``contextvars.copy_context().run``.
 """
 
 from __future__ import annotations
@@ -29,29 +31,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..context import current, scope
 from .metrics import MetricsRegistry
 from .trace import NULL_SPAN, Span, Tracer
 
-__all__ = ["OBS", "Observation", "observation", "span"]
-
-
-class _ObsState:
-    """The mutable global: one attribute check guards every hot path."""
-
-    __slots__ = ("active", "tracer", "metrics", "lineage")
-
-    def __init__(self):
-        self.active = False
-        self.tracer: Tracer | None = None
-        self.metrics: MetricsRegistry | None = None
-        #: The active :class:`repro.obs.lineage.Lineage` scope, or None.
-        #: Independent of ``active`` — provenance can run without tracing
-        #: and vice versa; both default off.
-        self.lineage = None
-
-
-#: The process-wide observation state consulted by all instrumentation.
-OBS = _ObsState()
+__all__ = ["Observation", "observation", "span"]
 
 
 class Observation:
@@ -102,13 +86,8 @@ def observation(
         Tracer(memory=memory) if trace else None,
         MetricsRegistry() if metrics else None,
     )
-    previous = (OBS.active, OBS.tracer, OBS.metrics)
-    OBS.tracer, OBS.metrics = obs.tracer, obs.metrics
-    OBS.active = True
-    try:
+    with scope(tracer=obs.tracer, metrics=obs.metrics):
         yield obs
-    finally:
-        OBS.active, OBS.tracer, OBS.metrics = previous
 
 
 def span(name: str, **attributes):
@@ -119,6 +98,7 @@ def span(name: str, **attributes):
         with _span("compile.schemalog", rules=len(program)):
             ...
     """
-    if OBS.active and OBS.tracer is not None:
-        return OBS.tracer.span(name, **attributes)
+    tracer = current().tracer
+    if tracer is not None:
+        return tracer.span(name, **attributes)
     return NULL_SPAN

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from .estimator import QERROR_BUCKETS, EstimateAccuracy, estimation
-from .events import EVT, Event, EventBus, event_stream
+from .events import Event, EventBus, event_stream
 from .stats import STATS_SCHEMA_VERSION, analyze_database
 
 __all__ = [

@@ -262,15 +262,15 @@ def compile_program(
     ``schemas`` gives the input relations' schemas (the compile-time
     environment Theorem 4.1's simulation needs).
     """
-    from ..obs.runtime import OBS as _OBS, span as _span
+    from ..context import current
     from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
 
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.fo_while")
+    ctx = current()
+    if ctx.governor is not None:
+        ctx.governor.check(op="compile.fo_while")
     with (
-        _span("compile.fo_while", statements=len(program))
-        if _OBS.active
+        ctx.tracer.span("compile.fo_while", statements=len(program))
+        if ctx.tracer is not None
         else _NULL_SPAN
     ) as sp:
         compiler = _Compiler(dict(schemas))

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..context import current
 from ..core import (
     EvaluationError,
     FreshValueSource,
     SchemaError,
 )
-from ..obs import runtime as _obs
 from ..obs.trace import NULL_SPAN
-from ..runtime.governor import GOV as _GOV, IterationBudget
+from ..runtime.governor import IterationBudget
 from .algebra import Expr
 from .relation import Relation, RelationalDatabase
 
@@ -159,15 +159,15 @@ class WhileNotEmpty(FWStatement):
         self.body = body if isinstance(body, FWProgram) else FWProgram(body)
 
     def execute(self, db, fresh, budget):
-        obs = _obs.OBS
-        if not obs.active:
+        ctx = current()
+        if ctx.tracer is None and ctx.metrics is None:
             while self.name in db and len(db.relation(self.name)) > 0:
                 budget.tick(self.name)
                 db = self.body._execute(db, fresh, budget)
             return db
         cm = (
-            obs.tracer.span("fw-while", text=f"while {self.name}")
-            if obs.tracer is not None
+            ctx.tracer.span("fw-while", text=f"while {self.name}")
+            if ctx.tracer is not None
             else NULL_SPAN
         )
         with cm as sp:
@@ -177,16 +177,16 @@ class WhileNotEmpty(FWStatement):
                 budget.tick(self.name)
                 iterations += 1
                 condition_rows.append(len(db.relation(self.name)))
-                if obs.metrics is not None:
-                    obs.metrics.count("fw_while_iterations")
-                if obs.tracer is not None:
-                    with obs.tracer.span("iteration", n=iterations):
+                if ctx.metrics is not None:
+                    ctx.metrics.count("fw_while_iterations")
+                if ctx.tracer is not None:
+                    with ctx.tracer.span("iteration", n=iterations):
                         db = self.body._execute(db, fresh, budget)
                 else:
                     db = self.body._execute(db, fresh, budget)
             sp.set(iterations=iterations, condition_rows=condition_rows)
-            if obs.metrics is not None:
-                obs.metrics.count("fw_while_loops")
+            if ctx.metrics is not None:
+                ctx.metrics.count("fw_while_loops")
             return db
 
     def __repr__(self) -> str:
@@ -203,14 +203,13 @@ class FWProgram:
                 raise EvaluationError(f"not an FO+while+new statement: {statement!r}")
 
     def _execute(self, db, fresh, budget) -> RelationalDatabase:
-        gov = _GOV
-        if gov.active and gov.governor is not None:
+        ctx = current()
+        if ctx.governor is not None:
             # FO+while expressions evaluate outside the op registry, so
             # the per-statement check is this language's only chokepoint
             # for deadlines and cancellation between while ticks.
-            gov.governor.check()
-        obs = _obs.OBS
-        if not obs.active:
+            ctx.governor.check()
+        if ctx.tracer is None and ctx.metrics is None:
             for statement in self.statements:
                 db = statement.execute(db, fresh, budget)
             return db
@@ -219,16 +218,16 @@ class FWProgram:
                 db = statement.execute(db, fresh, budget)  # spans itself
                 continue
             cm = (
-                obs.tracer.span("fw-statement", text=repr(statement))
-                if obs.tracer is not None
+                ctx.tracer.span("fw-statement", text=repr(statement))
+                if ctx.tracer is not None
                 else NULL_SPAN
             )
             with cm as sp:
                 db = statement.execute(db, fresh, budget)
                 if isinstance(statement, (Assign, AssignNew, AssignSetNew)):
                     sp.set(rows_out=len(db.relation(statement.name)))
-            if obs.metrics is not None:
-                obs.metrics.count("fw_statements")
+            if ctx.metrics is not None:
+                ctx.metrics.count("fw_statements")
         return db
 
     def run(
@@ -240,15 +239,10 @@ class FWProgram:
         """Execute against ``db`` and return the final database."""
         source = fresh if fresh is not None else FreshValueSource()
         source.advance_past(db.symbols())
-        obs = _obs.OBS
-        if not obs.active:
+        ctx = current()
+        if ctx.tracer is None:
             return self._execute(db, source, _Budget(max_while_iterations))
-        cm = (
-            obs.tracer.span("fw-program", statements=len(self.statements))
-            if obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm:
+        with ctx.tracer.span("fw-program", statements=len(self.statements)):
             return self._execute(db, source, _Budget(max_while_iterations))
 
     def __len__(self) -> int:

@@ -5,12 +5,12 @@ FO+while+new embedding of Theorem 4.1), so non-termination and resource
 blowup are intrinsic to the language, not edge cases.  This package is
 the production safety net around the engine:
 
-* :mod:`repro.runtime.governor` — the :data:`~repro.runtime.governor.GOV`
-  singleton and :class:`~repro.runtime.governor.ResourceGovernor`:
-  wall-clock deadlines, per-op and per-program row/cell budgets, memory
-  high-water checks, and cooperative cancellation, enforced at the same
-  chokepoints the observability stack instruments and zero-cost when
-  disabled;
+* :mod:`repro.runtime.governor` — the ``governed()`` scope and
+  :class:`~repro.runtime.governor.ResourceGovernor`: wall-clock
+  deadlines, per-op and per-program row/cell budgets, memory high-water
+  checks, and cooperative cancellation, held in the execution context
+  (:mod:`repro.context`), enforced at the same chokepoints the
+  observability stack instruments and zero-cost when disabled;
 * :mod:`repro.runtime.faults` — deterministic, seeded fault injection
   (``raise`` / ``delay`` / ``corrupt``) at op boundaries;
 * :mod:`repro.runtime.checkpoint` — environment serialization at
@@ -35,10 +35,9 @@ taxonomy: :class:`~repro.core.errors.BudgetExceededError`,
 """
 
 from .faults import FAULT_KINDS, FaultPlan, FaultRule
-from .governor import GOV, IterationBudget, Limits, ResourceGovernor, governed
+from .governor import IterationBudget, Limits, ResourceGovernor, governed
 
 __all__ = [
-    "GOV",
     "Limits",
     "ResourceGovernor",
     "IterationBudget",

@@ -40,11 +40,11 @@ import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..context import current
 from ..core.database import TabularDatabase
 from ..core.errors import CheckpointError
 from ..core.symbols import NULL, FreshValueSource, Name, Symbol, TaggedValue, Value
 from ..core.table import Table
-from ..obs import events as _ev
 from .faults import FaultPlan
 from .governor import Limits, ResourceGovernor, governed
 
@@ -323,8 +323,9 @@ def run_hardened(
         db = checkpoint.db
         start = (checkpoint.statement_index, checkpoint.body_index, checkpoint.iterations)
         interp.fresh.reset_to(checkpoint.next_tag)
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "checkpoint_restore",
                 path=str(checkpoint_path),
                 statement_index=start[0],
@@ -349,8 +350,9 @@ def run_hardened(
                 done=done,
             ),
         )
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "checkpoint_write",
                 path=str(checkpoint_path),
                 statement_index=index,
@@ -363,8 +365,9 @@ def run_hardened(
         interp.boundary = write
 
     with scope, governed(limits, faults=faults, governor=governor) as gov:
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "run_start",
                 statements=len(program.statements),
                 resume=resume,
@@ -377,7 +380,7 @@ def run_hardened(
             # Outcome stamping: the bus sees *every* run end, not just
             # the clean ones, so a ledger recorder can attribute the
             # outcome without being handed the exception out of band.
-            if _ev.EVT.active:
+            if bus is not None:
                 from ..core.errors import BudgetExceededError, CancelledError
 
                 outcome = (
@@ -385,7 +388,7 @@ def run_hardened(
                     if isinstance(err, (BudgetExceededError, CancelledError))
                     else "error"
                 )
-                _ev.emit(
+                bus.publish(
                     "run_finish",
                     governor=gov.snapshot(),
                     outcome=outcome,
@@ -394,6 +397,6 @@ def run_hardened(
             raise
         if checkpoint_path is not None:
             write(db, len(program.statements), 0, 0, done=True)
-        if _ev.EVT.active:
-            _ev.emit("run_finish", governor=gov.snapshot(), outcome="ok")
+        if bus is not None:
+            bus.publish("run_finish", governor=gov.snapshot(), outcome="ok")
     return db

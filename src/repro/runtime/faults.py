@@ -1,8 +1,9 @@
 """Deterministic fault injection at op boundaries (chaos engineering).
 
-A :class:`FaultPlan` is installed alongside the governor
-(``governed(faults=plan)`` or ``GOV.faults``) and consulted by the op
-registry around every dispatch.  Three fault kinds:
+A :class:`FaultPlan` is installed alongside the governor by
+``governed(faults=plan)`` — the execution context's ``faults`` field
+(:mod:`repro.context`) — and consulted by the op registry's dispatch
+chain around every dispatch.  Three fault kinds:
 
 * ``raise``   — the op boundary raises a typed
   :class:`~repro.core.errors.FaultInjectedError` *before* the op runs;
@@ -35,9 +36,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..context import current
 from ..core.errors import EvaluationError, FaultInjectedError
-from ..obs import events as _ev
-from ..obs import runtime as _obs
 
 __all__ = ["FaultRule", "FaultPlan", "FAULT_KINDS"]
 
@@ -144,16 +144,16 @@ class FaultPlan:
 
     def _record(self, op: str, kind: str, count: int) -> None:
         self.fired.append({"op": op, "kind": kind, "occurrence": count})
-        if _ev.EVT.active:
-            _ev.emit(
+        ctx = current()
+        if ctx.bus is not None:
+            ctx.bus.publish(
                 "fault_injected", op=op, fault=kind, occurrence=count, seed=self.seed
             )
-        obs = _obs.OBS
-        if obs.active and obs.tracer is not None:
-            with obs.tracer.span("fault", op=op, kind=kind, occurrence=count):
+        if ctx.tracer is not None:
+            with ctx.tracer.span("fault", op=op, kind=kind, occurrence=count):
                 pass
-        if obs.active and obs.metrics is not None:
-            obs.metrics.count("faults_injected")
+        if ctx.metrics is not None:
+            ctx.metrics.count("faults_injected")
 
     def before(self, op: str) -> None:
         """Pre-dispatch hook: counts the dispatch, fires raise/delay faults."""

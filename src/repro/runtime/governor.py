@@ -1,13 +1,12 @@
 """The resource governor: deadlines, row/cell/memory budgets, cancellation.
 
-The hardened execution runtime mirrors the observability stack's
-architecture (:mod:`repro.obs.runtime`): one module-level singleton,
-:data:`GOV`, is consulted at every chokepoint — the op registry's
-``dispatch``, the TA interpreter's statements and while loops, the
-FO+while budget, and the four frontend compilers.  When ``GOV.active``
-is False — the default — every call site falls through after a single
-attribute check and no governor code runs; the zero-allocation tests pin
-that down exactly like the obs "strict no-op" contract.
+The governor is the execution context's ``governor`` field
+(:mod:`repro.context`), consulted at every chokepoint — the op
+registry's dispatch chain, the TA interpreter's statements and while
+loops, the FO+while budget, and the four frontend compilers.  When it is
+None — the default — every call site falls through after one field
+check and no governor code runs; the zero-allocation tests pin that
+down exactly like the obs "strict no-op" contract.
 
 :func:`governed` is the way to switch enforcement on::
 
@@ -16,10 +15,11 @@ that down exactly like the obs "strict no-op" contract.
     with governed(Limits(deadline_s=0.5, max_total_rows=100_000)):
         program.run(db)      # raises BudgetExceededError when a limit trips
 
-Scopes nest and restore the previous state on exit, so a library callee
-installing its own governor cannot clobber the caller's.  A
-:class:`~repro.runtime.faults.FaultPlan` rides on the same state
-(``GOV.faults``) so fault injection shares the chokepoints.
+Scopes nest and restore the previous context on exit, so a library
+callee installing its own governor cannot clobber the caller's, and a
+governor in one thread's context never reaches a run in another.  A
+:class:`~repro.runtime.faults.FaultPlan` rides in the same context
+(its ``faults`` field) so fault injection shares the chokepoints.
 
 Budgets raise the structured taxonomy under
 :class:`~repro.core.errors.ReproError`:
@@ -36,34 +36,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..context import current, scope
 from ..core.errors import BudgetExceededError, CancelledError, NonTerminationError
-from ..obs import events as _ev
-from ..obs import runtime as _obs
 
 __all__ = [
-    "GOV",
     "Limits",
     "ResourceGovernor",
     "IterationBudget",
     "governed",
 ]
-
-
-class _GovState:
-    """The mutable global: one attribute check guards every hot path."""
-
-    __slots__ = ("active", "governor", "faults")
-
-    def __init__(self):
-        self.active = False
-        #: The installed :class:`ResourceGovernor`, or None.
-        self.governor = None
-        #: The installed :class:`repro.runtime.faults.FaultPlan`, or None.
-        self.faults = None
-
-
-#: The process-wide governor state consulted by all chokepoints.
-GOV = _GovState()
 
 
 @dataclass(frozen=True)
@@ -153,8 +134,9 @@ class ResourceGovernor:
         iteration: int | None = None,
     ) -> None:
         """Publish a ``governor_kill`` event just before the budget raise."""
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "governor_kill",
                 kind=kind,
                 limit=limit,
@@ -190,14 +172,14 @@ class ResourceGovernor:
             )
         cap = self.limits.max_memory_bytes
         if cap is not None and tracemalloc.is_tracing():
-            current, _peak = tracemalloc.get_traced_memory()
-            if current > cap:
-                self._kill_event("memory", cap, current, op=op, iteration=iteration)
+            traced, _peak = tracemalloc.get_traced_memory()
+            if traced > cap:
+                self._kill_event("memory", cap, traced, op=op, iteration=iteration)
                 raise BudgetExceededError(
                     "memory high-water mark exceeded",
                     kind="memory",
                     limit=cap,
-                    used=current,
+                    used=traced,
                     op=op,
                     statement=self.statement,
                     iteration=iteration,
@@ -256,10 +238,11 @@ class ResourceGovernor:
         self, condition: str, iteration: int, statement: int | None = None
     ) -> None:
         """Called once per while-loop iteration by both languages' loops."""
-        if _ev.EVT.active:
+        bus = current().bus
+        if bus is not None:
             # Budget headroom, once per tick: the progress feed's view of
             # how close the loop is to a deadline / row-cap kill.
-            _ev.emit(
+            bus.publish(
                 "governor_budget",
                 condition=condition,
                 iteration=iteration,
@@ -327,9 +310,9 @@ class IterationBudget:
 
     def tick(self, condition: str | None = None) -> None:
         self.used += 1
-        gov = GOV
-        if gov.active and gov.governor is not None:
-            gov.governor.while_tick(
+        governor = current().governor
+        if governor is not None:
+            governor.while_tick(
                 condition if condition is not None else self.label, self.used
             )
         if self.used > self.limit:
@@ -351,19 +334,19 @@ def governed(
     """Enable resource governance (and/or fault injection) for a scope.
 
     Installs a fresh :class:`ResourceGovernor` over ``limits`` (or the
-    given ``governor``) plus an optional fault plan, restoring the
-    previous state on exit so scopes nest.  When an observation scope is
-    also active, the whole governed region is wrapped in a ``governed``
-    trace span carrying the limits on entry and the governor's counters
-    on exit — budget trips therefore surface as errored spans in EXPLAIN.
+    given ``governor``) plus an optional fault plan in a new context,
+    restoring the previous context on exit so scopes nest.  When an
+    observation scope is also active, the whole governed region is
+    wrapped in a ``governed`` trace span carrying the limits on entry and
+    the governor's counters on exit — budget trips therefore surface as
+    errored spans in EXPLAIN.
     """
     gov = governor if governor is not None else ResourceGovernor(limits)
-    previous = (GOV.active, GOV.governor, GOV.faults)
-    GOV.governor, GOV.faults = gov, faults
-    GOV.active = True
-    obs = _obs.OBS
-    cm = (
-        obs.tracer.span(
+    with scope(governor=gov, faults=faults) as ctx:
+        if ctx.tracer is None:
+            yield gov
+            return
+        with ctx.tracer.span(
             "governed",
             limits={
                 k: v
@@ -377,16 +360,6 @@ def governed(
                 )
                 if v is not None
             },
-        )
-        if obs.active and obs.tracer is not None
-        else None
-    )
-    try:
-        if cm is not None:
-            with cm as sp:
-                yield gov
-                sp.set(governor=gov.snapshot())
-        else:
+        ) as sp:
             yield gov
-    finally:
-        GOV.active, GOV.governor, GOV.faults = previous
+            sp.set(governor=gov.snapshot())

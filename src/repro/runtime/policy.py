@@ -34,6 +34,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 
+from ..context import current
 from ..core.errors import (
     BudgetExceededError,
     CancelledError,
@@ -44,7 +45,6 @@ from ..core.errors import (
     QuarantinedError,
     ReproError,
 )
-from ..obs import events as _ev
 
 __all__ = [
     "DECISIONS",
@@ -296,8 +296,9 @@ class CircuitBreaker:
             entry.failures = 0
         key = (from_state, to_state)
         self.transitions[key] = self.transitions.get(key, 0) + 1
-        if _ev.EVT.active:
-            _ev.emit(
+        bus = current().bus
+        if bus is not None:
+            bus.publish(
                 "breaker_transition",
                 fingerprint=fingerprint,
                 from_state=from_state,

@@ -39,9 +39,11 @@ re-exports it through ``__getattr__``).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..context import current, scope
 from ..core.errors import (
     BudgetExceededError,
     CancelledError,
@@ -51,7 +53,6 @@ from ..core.errors import (
     ReproError,
     VerificationError,
 )
-from ..obs import events as _ev
 from .checkpoint import load_checkpoint, run_hardened
 from .governor import Limits
 from .policy import (
@@ -228,34 +229,6 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-class _ShedScopes:
-    """Temporarily flip the optional observability layers off.
-
-    Under memory pressure the supervisor sheds the layers a run can
-    live without — events, metrics/tracing, estimation — while keeping
-    the governor (the thing enforcing the budget) fully armed.  The
-    previous state is restored on exit, whatever it was.
-    """
-
-    def __init__(self):
-        self._saved = []
-
-    def __enter__(self):
-        from ..obs import estimator as _est
-        from ..obs import runtime as _obs
-
-        for state in (_ev.EVT, _obs.OBS, _est.EST):
-            self._saved.append((state, state.active))
-            state.active = False
-        return self
-
-    def __exit__(self, *exc):
-        for state, active in reversed(self._saved):
-            state.active = active
-        self._saved.clear()
-        return False
-
-
 class Supervisor:
     """Drives hardened runs under a retry policy with a circuit breaker.
 
@@ -395,9 +368,16 @@ class Supervisor:
                 and not fresh_restart
             )
             fresh_restart = False
-            scope = _ShedScopes() if shed_now else _NullScope()
+            # Under memory pressure, shed the layers a run can live
+            # without (events, metrics/tracing, estimation); the
+            # governor enforcing the budget stays armed.
+            shed = (
+                scope(tracer=None, metrics=None, bus=None, estimator=None)
+                if shed_now
+                else nullcontext()
+            )
             try:
-                with scope:
+                with shed:
                     result = run_hardened(
                         program,
                         db,
@@ -471,8 +451,9 @@ class Supervisor:
                     terminal = err
                     break
                 self.stats.count_decision(decision)
-                if _ev.EVT.active:
-                    _ev.emit(
+                bus = current().bus
+                if bus is not None:
+                    bus.publish(
                         "retry_scheduled",
                         attempt=attempt,
                         decision=decision,
@@ -504,8 +485,9 @@ class Supervisor:
             run.outcome = "ok"
             run.result = result
             self.breaker.record_success(fingerprint)
-            if _recovered and _ev.EVT.active:
-                _ev.emit(
+            bus = current().bus
+            if _recovered and bus is not None:
+                bus.publish(
                     "run_recovered",
                     run_id=run_id,
                     workload=workload,
@@ -526,8 +508,9 @@ class Supervisor:
         if mode == "engine":
             run.degraded = True
         self.stats.count_degraded(mode)
-        if _ev.EVT.active:
-            _ev.emit("engine_degraded", mode=mode, **{"from": from_, "to": to})
+        bus = current().bus
+        if bus is not None:
+            bus.publish("engine_degraded", mode=mode, **{"from": from_, "to": to})
 
     def _close(
         self, run: SupervisedRun, *, spec, limits, recorder, optimizer=None
@@ -697,14 +680,6 @@ class Supervisor:
             orphaned=tuple(orphaned),
             failed=tuple(failed),
         )
-
-
-class _NullScope:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _new_run_id() -> str:

@@ -204,16 +204,16 @@ def compile_to_fw(program: SchemaLogProgram) -> FWProgram:
         raise EvaluationError(
             "ground facts are not compilable; add them to the Facts relation"
         )
-    from ..obs.runtime import OBS as _OBS, span as _span
+    from ..context import current
     from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
 
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.schemalog")
+    ctx = current()
+    if ctx.governor is not None:
+        ctx.governor.check(op="compile.schemalog")
     strata = stratify(program)
     with (
-        _span("compile.schemalog", rules=len(program), strata=len(strata))
-        if _OBS.active
+        ctx.tracer.span("compile.schemalog", rules=len(program), strata=len(strata))
+        if ctx.tracer is not None
         else _NULL_SPAN
     ):
         return _compile_strata_to_fw(strata)

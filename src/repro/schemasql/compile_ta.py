@@ -221,19 +221,19 @@ def query_to_expression(query: SchemaSQLQuery) -> Expr:
 
 def compile_to_fw(query: SchemaSQLQuery) -> FWProgram:
     """The FO + while + new program binding the INTO relation."""
-    from ..obs.runtime import OBS as _OBS, span as _span
+    from ..context import current
     from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
 
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.schemasql")
+    ctx = current()
+    if ctx.governor is not None:
+        ctx.governor.check(op="compile.schemasql")
     with (
-        _span(
+        ctx.tracer.span(
             "compile.schemasql",
             select_items=len(query.select),
             conditions=len(query.where),
         )
-        if _OBS.active
+        if ctx.tracer is not None
         else _NULL_SPAN
     ):
         return FWProgram([Assign(query.into, query_to_expression(query))])

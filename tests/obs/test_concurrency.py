@@ -1,5 +1,11 @@
-"""Tracer, MetricsRegistry and EventBus under thread pools: no lost records."""
+"""Tracer, MetricsRegistry and EventBus under thread pools: no lost records.
 
+A worker thread starts outside every scope, so work that should record
+into an ``observation()`` is submitted through
+``contextvars.copy_context().run`` (one copy per submission).
+"""
+
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +28,11 @@ class TestConcurrentObservation:
         with observation() as obs:
             with ThreadPoolExecutor(max_workers=WORKERS) as pool:
                 futures = [
-                    pool.submit(parse_program(PIVOT).run, sales_info1())
+                    pool.submit(
+                        contextvars.copy_context().run,
+                        parse_program(PIVOT).run,
+                        sales_info1(),
+                    )
                     for _ in range(RUNS)
                 ]
                 results = [f.result() for f in futures]
@@ -36,10 +46,13 @@ class TestConcurrentObservation:
     def test_no_corrupted_counters_across_threads(self):
         with observation() as obs:
             with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+                contexts = [contextvars.copy_context() for _ in range(RUNS)]
                 list(
                     pool.map(
-                        lambda _: parse_program(PIVOT).run(sales_info1()),
-                        range(RUNS),
+                        lambda ctx: ctx.run(
+                            lambda: parse_program(PIVOT).run(sales_info1())
+                        ),
+                        contexts,
                     )
                 )
         metrics = obs.metrics
@@ -53,10 +66,13 @@ class TestConcurrentObservation:
         """Each thread's tree only contains spans from its own thread."""
         with observation() as obs:
             with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+                contexts = [contextvars.copy_context() for _ in range(RUNS)]
                 list(
                     pool.map(
-                        lambda _: parse_program(PIVOT).run(sales_info1()),
-                        range(RUNS),
+                        lambda ctx: ctx.run(
+                            lambda: parse_program(PIVOT).run(sales_info1())
+                        ),
+                        contexts,
                     )
                 )
         for root in obs.spans:

@@ -1,8 +1,8 @@
 """Disabled-observability guarantees: strict no-op, identical results.
 
 The acceptance bar: with no observation scope active, every instrumented
-call site must fall through after one attribute check — no spans, no
-metrics, no behavioural difference.
+call site must fall through after one field check on the execution
+context — no spans, no metrics, no behavioural difference.
 """
 
 import pytest
@@ -11,14 +11,15 @@ from repro.algebra.programs import parse_program
 from repro.algebra.programs.registry import OPERATIONS
 from repro.core import database, make_table
 from repro.data import figure4_bottom, figure4_top, sales_info1
-from repro.obs import NULL_SPAN, OBS, observation, span
+from repro.context import current
+from repro.obs import NULL_SPAN, observation, span
 
 
 class TestDisabledState:
     def test_observation_is_off_by_default(self):
-        assert OBS.active is False
-        assert OBS.tracer is None
-        assert OBS.metrics is None
+        assert current().dispatch is None
+        assert current().tracer is None
+        assert current().metrics is None
 
     def test_span_helper_is_free_when_disabled(self):
         # The no-op path hands back one shared singleton: nothing is
@@ -32,7 +33,7 @@ class TestDisabledState:
             (figure4_top(),), {"by": {"Region"}, "on": {"Sold"}}, None
         )
         assert result == (figure4_bottom(),)
-        assert OBS.tracer is None and OBS.metrics is None
+        assert current().tracer is None and current().metrics is None
 
     def test_program_results_identical_with_and_without_observation(self):
         text = """
@@ -59,76 +60,79 @@ class TestDisabledState:
 
     def test_scope_exit_returns_to_noop(self):
         with observation():
-            assert OBS.active
+            assert current().tracer is not None
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["x"]])
         (out,) = spec.invoke((table,), {}, None)
         assert out.height == 1
-        assert OBS.active is False
+        assert current().tracer is None
 
 
 class TestZeroOverheadSmoke:
     def test_disabled_dispatch_stays_on_fast_path(self):
-        """The disabled invoke is the raw invoke behind one flag check."""
+        """The disabled invoke is the raw invoke behind one context read."""
         import repro.algebra.programs.registry as registry_module
 
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_observed
+        original = registry_module._observe
         try:
-            registry_module.OpSpec._invoke_observed = (
-                lambda self, *a: calls.append(self.name) or original(self, *a)
+            # A step is called as step(next, *fields, spec, tables, arguments, fresh).
+            registry_module._observe = (
+                lambda *a: calls.append(a[-4].name) or original(*a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # observed path never entered while disabled
+            assert calls == []  # observe step never entered while disabled
             with observation():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]  # and is entered exactly when active
         finally:
-            registry_module.OpSpec._invoke_observed = original
+            registry_module._observe = original
 
     def test_disabled_dispatch_skips_the_evented_path(self):
-        """The event bus is gated identically: one EVT.active check."""
+        """The event bus is gated identically: no events step without a bus."""
         import repro.algebra.programs.registry as registry_module
         from repro.obs.events import event_stream
 
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_evented
+        original = registry_module._events
         try:
-            registry_module.OpSpec._invoke_evented = (
-                lambda self, *a: calls.append(self.name) or original(self, *a)
+            # A step is called as step(next, *fields, spec, tables, arguments, fresh).
+            registry_module._events = (
+                lambda *a: calls.append(a[-4].name) or original(*a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # no active bus: evented path never entered
+            assert calls == []  # no active bus: events step never entered
             with event_stream():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]
         finally:
-            registry_module.OpSpec._invoke_evented = original
+            registry_module._events = original
 
     def test_disabled_dispatch_skips_the_estimated_path(self):
-        """Estimation is gated identically: one EST.active check."""
+        """Estimation is gated identically: no estimate step without one."""
         import repro.algebra.programs.registry as registry_module
         from repro.obs.estimator import estimation
 
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_estimated
+        original = registry_module._estimate
         try:
-            registry_module.OpSpec._invoke_estimated = (
-                lambda self, *a: calls.append(self.name) or original(self, *a)
+            # A step is called as step(next, *fields, spec, tables, arguments, fresh).
+            registry_module._estimate = (
+                lambda *a: calls.append(a[-4].name) or original(*a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # no scope: estimated path never entered
+            assert calls == []  # no scope: estimate step never entered
             with estimation():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]
         finally:
-            registry_module.OpSpec._invoke_estimated = original
+            registry_module._estimate = original
 
     def test_disabled_run_allocates_nothing_in_obs_modules(self):
         """tracemalloc audit: the off switch means *zero* obs allocations.
@@ -168,6 +172,40 @@ class TestZeroOverheadSmoke:
         leaked = [(s.traceback, s.size_diff) for s in stats if s.size_diff > 0]
         assert leaked == []
 
+    def test_disabled_run_allocates_nothing_in_the_context_module(self):
+        """tracemalloc audit: reading the default context allocates nothing.
+
+        Every dispatch and every guard site reads ``repro.context``;
+        with no scope entered, a pivot run must not allocate a single
+        object in that module (no context, no composed chain).
+        """
+        import tracemalloc
+
+        import repro.context
+
+        program = parse_program(
+            """
+            Grouped <- GROUP by {Region} on {Sold} (Sales)
+            Cleaned <- CLEANUP by {Part} on {null} (Grouped)
+            Pivot   <- PURGE on {Sold} by {Region} (Cleaned)
+            """
+        )
+        db = sales_info1()
+        program.run(db)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            program.run(db)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        context_filter = tracemalloc.Filter(True, repro.context.__file__)
+        stats = after.filter_traces([context_filter]).compare_to(
+            before.filter_traces([context_filter]), "filename"
+        )
+        leaked = [(s.traceback, s.size_diff) for s in stats if s.size_diff > 0]
+        assert leaked == []
+
     def test_bridge_call_sites_skip_kwargs_when_disabled(self):
         """The bridge/compiler guards must not even build span kwargs."""
         from repro.data import figure4_top
@@ -191,7 +229,7 @@ class TestZeroOverheadSmoke:
                 bridge_module._span = bridge_original
         finally:
             runtime_module.span = original
-        assert calls == []  # the OBS.active guard short-circuited the call
+        assert calls == []  # the tracer guard short-circuited the call
 
     def test_disabled_overhead_is_bounded(self):
         """Timing smoke: the guarded path is within noise of the raw call.

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.algebra.programs import parse_program
+from repro.context import current
 from repro.core import attr_symbol, data_symbol, database, make_table
 from repro.data import figure4_top, sales_info1, sales_info2
 from repro.obs import observation
 from repro.obs.cost import analyze_records
 from repro.obs.estimator import (
-    EST,
     QERROR_BUCKETS,
     CardinalityEstimator,
     EstimateAccuracy,
@@ -21,28 +21,28 @@ from repro.runtime.workloads import parse_workload
 
 class TestScope:
     def test_estimation_is_off_by_default(self):
-        assert EST.active is False
-        assert EST.estimator is None
+        assert current().dispatch is None
+        assert current().estimator is None
 
     def test_scope_installs_and_restores(self):
         with estimation(analyze_database(sales_info1())) as estimator:
-            assert EST.active is True
-            assert EST.estimator is estimator
-        assert EST.active is False
-        assert EST.estimator is None
+            assert current().dispatch is not None
+            assert current().estimator is estimator
+        assert current().dispatch is None
+        assert current().estimator is None
 
     def test_scopes_nest(self):
         with estimation() as outer:
             with estimation() as inner:
-                assert EST.estimator is inner
-            assert EST.estimator is outer
-        assert EST.active is False
+                assert current().estimator is inner
+            assert current().estimator is outer
+        assert current().estimator is None
 
     def test_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with estimation():
                 raise RuntimeError("boom")
-        assert EST.active is False
+        assert current().estimator is None
 
     def test_estimation_never_changes_results(self):
         program = parse_program("G <- GROUP by {Region} on {Sold} (Sales)")

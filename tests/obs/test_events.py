@@ -6,12 +6,12 @@ import json
 import pytest
 
 from repro.algebra.programs import parse_program
+from repro.context import current
 from repro.core.errors import BudgetExceededError, FaultInjectedError
 from repro.data import sales_info1
 from repro.obs import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
-    EVT,
     EventBus,
     JsonlEventWriter,
     emit,
@@ -109,17 +109,17 @@ class TestEventBus:
 
 class TestEventStreamScope:
     def test_disabled_by_default_and_emit_is_noop(self):
-        assert EVT.active is False and EVT.bus is None
+        assert current().dispatch is None and current().bus is None
         emit("span_start", op="A")  # no active bus: silently dropped
 
     def test_scope_installs_and_restores(self):
         with event_stream() as bus:
-            assert EVT.active is True and EVT.bus is bus
+            assert current().dispatch is not None and current().bus is bus
             inner = EventBus()
             with event_stream(inner):
-                assert EVT.bus is inner
-            assert EVT.bus is bus
-        assert EVT.active is False and EVT.bus is None
+                assert current().bus is inner
+            assert current().bus is bus
+        assert current().dispatch is None and current().bus is None
 
     def test_jsonl_writer_streams_wire_form(self, tmp_path):
         target = tmp_path / "events.jsonl"

@@ -12,6 +12,7 @@ import pytest
 
 from repro.algebra import cleanup, product, rename, setnew, tuplenew
 from repro.algebra.programs import parse_program
+from repro.context import current
 from repro.core import (
     NULL,
     FreshValueSource,
@@ -23,7 +24,7 @@ from repro.core import (
     make_table,
 )
 from repro.data import figure4_top, sales_info1
-from repro.obs import OBS, observation
+from repro.obs import observation
 from repro.obs.lineage import (
     CellRef,
     Lineage,
@@ -110,13 +111,13 @@ class TestTagging:
         assert lin.describe_ref(CellRef(0, 0, 1)) == "Sales[0,1]=Part"
 
     def test_scope_installs_and_restores(self):
-        assert OBS.lineage is None
+        assert current().lineage is None
         with lineage() as outer:
-            assert OBS.lineage is outer
+            assert current().lineage is outer
             with lineage() as inner:
-                assert OBS.lineage is inner
-            assert OBS.lineage is outer
-        assert OBS.lineage is None
+                assert current().lineage is inner
+            assert current().lineage is outer
+        assert current().lineage is None
 
 
 class TestOperationThreading:
@@ -365,7 +366,7 @@ class TestProvenanceGraph:
 
 class TestDisabledPath:
     def test_lineage_is_off_by_default(self):
-        assert OBS.lineage is None
+        assert current().lineage is None
 
     def test_results_identical_with_and_without_lineage(self):
         text = """
@@ -383,7 +384,7 @@ class TestDisabledPath:
         """tracemalloc audit: with lineage off, no obs-module allocations.
 
         Same discipline as the observability audit — the provenance hooks
-        must be a single ``OBS.lineage is None`` check on the disabled
+        must be a single ``lineage is None`` context check on the disabled
         path, allocating nothing from any ``repro.obs`` source file.
         """
         import os

@@ -1,10 +1,12 @@
 """Tracer unit tests: nesting, exception safety, thread isolation."""
 
+import contextvars
 import threading
 
 import pytest
 
-from repro.obs import NULL_SPAN, OBS, Tracer, observation
+from repro.context import current
+from repro.obs import NULL_SPAN, Tracer, observation
 from repro.obs.trace import Span
 
 
@@ -138,7 +140,10 @@ class TestThreadIsolation:
         program = parse_program("Sales <- GROUP by {Region} on {Sold} (Sales)")
         with observation() as obs:
             threads = [
-                threading.Thread(target=program.run, args=(database(figure4_top()),))
+                threading.Thread(
+                    target=contextvars.copy_context().run,
+                    args=(program.run, database(figure4_top())),
+                )
                 for _ in range(3)
             ]
             for t in threads:
@@ -162,20 +167,20 @@ class TestNullSpan:
     def test_span_helper_returns_null_when_inactive(self):
         from repro.obs import span
 
-        assert not OBS.active
+        assert current().tracer is None and current().metrics is None
         assert span("anything", x=1) is NULL_SPAN
 
 
 class TestObservationScope:
     def test_scope_installs_and_restores(self):
-        assert not OBS.active
+        assert current().tracer is None and current().metrics is None
         with observation() as obs:
-            assert OBS.active
-            assert OBS.tracer is obs.tracer
-            assert OBS.metrics is obs.metrics
-        assert not OBS.active
-        assert OBS.tracer is None
-        assert OBS.metrics is None
+            assert current().tracer is not None
+            assert current().tracer is obs.tracer
+            assert current().metrics is obs.metrics
+        assert current().dispatch is None
+        assert current().tracer is None
+        assert current().metrics is None
 
     def test_scopes_nest_and_shadow(self):
         with observation() as outer:
@@ -184,20 +189,20 @@ class TestObservationScope:
             with observation() as inner:
                 with inner.tracer.span("inner-span"):
                     pass
-            assert OBS.tracer is outer.tracer
+            assert current().tracer is outer.tracer
         assert [r.name for r in outer.spans] == ["outer-span"]
         assert [r.name for r in inner.spans] == ["inner-span"]
 
     def test_trace_only_and_metrics_only(self):
         with observation(metrics=False) as obs:
-            assert OBS.metrics is None
+            assert current().metrics is None
             assert obs.metrics is None
         with observation(trace=False) as obs:
-            assert OBS.tracer is None
+            assert current().tracer is None
             assert obs.spans == ()
 
     def test_restores_even_on_error(self):
         with pytest.raises(RuntimeError):
             with observation():
                 raise RuntimeError
-        assert not OBS.active
+        assert current().tracer is None and current().metrics is None

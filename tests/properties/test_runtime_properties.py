@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.programs import parse_program
+from repro.context import current
 from repro.core.errors import ReproError
 from repro.data import sales_info1
-from repro.runtime import GOV, FaultPlan, FaultRule, governed
+from repro.runtime import FaultPlan, FaultRule, governed
 from repro.runtime.checkpoint import database_from_data, database_to_data
 from tabular_strategies import databases
 
@@ -59,7 +60,7 @@ class TestFaultAtomicity:
             assert raised is None
             assert faulted == reference
         # the governor scope is restored even on the error path
-        assert GOV.active is False and GOV.faults is None
+        assert current().governor is None and current().faults is None
         # and nothing the fault touched leaks into a clean re-run
         assert program.run(db) == reference
 

@@ -1,7 +1,7 @@
 """Disabled-governor guarantees: strict no-op, zero allocations.
 
 Mirrors ``tests/obs/test_disabled.py``: with no governed scope active,
-every runtime chokepoint must fall through after one attribute check —
+every runtime chokepoint must fall through after one field check —
 no governor objects, no fault hooks, no behavioural difference.
 """
 
@@ -9,7 +9,8 @@ from repro.algebra.programs import parse_program
 from repro.algebra.programs.registry import OPERATIONS
 from repro.core import make_table
 from repro.data import sales_info1
-from repro.runtime import GOV, governed
+from repro.context import current
+from repro.runtime import governed
 
 PIVOT = """
     Grouped <- GROUP by {Region} on {Sold} (Sales)
@@ -20,9 +21,9 @@ PIVOT = """
 
 class TestDisabledState:
     def test_governance_is_off_by_default(self):
-        assert GOV.active is False
-        assert GOV.governor is None
-        assert GOV.faults is None
+        assert current().dispatch is None
+        assert current().governor is None
+        assert current().faults is None
 
     def test_results_identical_with_and_without_governance(self):
         plain = parse_program(PIVOT).run(sales_info1())
@@ -32,8 +33,8 @@ class TestDisabledState:
 
     def test_scope_exit_returns_to_noop(self):
         with governed():
-            assert GOV.active
-        assert GOV.active is False
+            assert current().governor is not None
+        assert current().governor is None
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["x"]])
         (out,) = spec.invoke((table,), {}, None)
@@ -42,24 +43,25 @@ class TestDisabledState:
 
 class TestZeroOverhead:
     def test_disabled_dispatch_stays_on_fast_path(self):
-        """The disabled invoke never enters the governed wrapper."""
+        """The disabled invoke never enters the govern step."""
         import repro.algebra.programs.registry as registry_module
 
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_governed
+        original = registry_module._govern
         try:
-            registry_module.OpSpec._invoke_governed = (
-                lambda self, *a: calls.append(self.name) or original(self, *a)
+            # A step is called as step(next, *fields, spec, tables, arguments, fresh).
+            registry_module._govern = (
+                lambda *a: calls.append(a[-4].name) or original(*a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # governed path never entered while disabled
+            assert calls == []  # govern step never entered while disabled
             with governed():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]  # and is entered exactly when active
         finally:
-            registry_module.OpSpec._invoke_governed = original
+            registry_module._govern = original
 
     def test_disabled_run_allocates_nothing_in_runtime_modules(self):
         """tracemalloc audit: the off switch means *zero* runtime allocations.

@@ -15,7 +15,8 @@ from repro.core.errors import (
     ReproError,
 )
 from repro.data import sales_info1
-from repro.runtime import GOV, IterationBudget, Limits, ResourceGovernor, governed
+from repro.context import current
+from repro.runtime import IterationBudget, Limits, ResourceGovernor, governed
 
 PIVOT = """
     Grouped <- GROUP by {Region} on {Sold} (Sales)
@@ -26,28 +27,28 @@ PIVOT = """
 
 class TestGovernedScope:
     def test_disabled_by_default(self):
-        assert GOV.active is False
-        assert GOV.governor is None
-        assert GOV.faults is None
+        assert current().dispatch is None
+        assert current().governor is None
+        assert current().faults is None
 
     def test_scope_installs_and_restores(self):
         with governed(Limits()) as gov:
-            assert GOV.active is True
-            assert GOV.governor is gov
-        assert GOV.active is False
-        assert GOV.governor is None
+            assert current().dispatch is not None
+            assert current().governor is gov
+        assert current().dispatch is None
+        assert current().governor is None
 
     def test_scopes_nest(self):
         with governed(Limits()) as outer:
             with governed(Limits(deadline_s=99)) as inner:
-                assert GOV.governor is inner
-            assert GOV.governor is outer
+                assert current().governor is inner
+            assert current().governor is outer
 
     def test_restores_after_budget_kill(self):
         with pytest.raises(BudgetExceededError):
             with governed(Limits(max_total_rows=1)):
                 parse_program(PIVOT).run(sales_info1())
-        assert GOV.active is False
+        assert current().governor is None
 
     def test_unlimited_scope_changes_nothing(self):
         plain = parse_program(PIVOT).run(sales_info1())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import current
 from repro.core.errors import (
     BudgetExceededError,
     FaultInjectedError,
@@ -117,9 +118,7 @@ class TestSubmit:
         calls = []
 
         def fake_run_hardened(prog, database, **kwargs):
-            from repro.obs.events import EVT
-
-            calls.append(EVT.active)
+            calls.append(current().bus is not None)
             if len(calls) == 1:
                 raise BudgetExceededError("oom", kind="memory")
             return run_hardened(prog, database)
@@ -135,9 +134,7 @@ class TestSubmit:
         assert calls == [True, False]  # the retry ran with events shed
         assert run.attempts[1].shed
         assert supervisor.stats.degraded == {"obs_shed": 1}
-        from repro.obs.events import EVT
-
-        assert EVT.active is False  # the shed scope restored the outer state
+        assert current().bus is None  # the shed scope restored the outer state
 
     def test_total_deadline_caps_the_whole_run(self):
         label, program, db = tc()
