@@ -118,13 +118,23 @@ def database_digest(db) -> tuple[str, int, int, list]:
     exactly the state a resume would restore — byte-identical results
     have byte-identical digests across processes.
     """
+    return _digest_and_size(db)[:4]
+
+
+def _digest_and_size(db) -> tuple[str, int, int, list, int]:
+    """:func:`database_digest` plus the size of the payload it hashed.
+
+    A manifest stores ``data`` only under its result-bytes cap, and the
+    hashed payload is exactly the compact encoding the cap measures, so
+    the manifest builders take both from this one encoding.
+    """
     from ..runtime.checkpoint import database_to_data
 
     data = database_to_data(db)
     payload = json.dumps(data, separators=(",", ":"), sort_keys=True)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     rows = sum(len(table) for table in data)
-    return digest, len(data), rows, data
+    return digest, len(data), rows, data, len(payload)
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +727,7 @@ class RunRecorder:
 
         result: dict | None = None
         if result_db is not None:
-            digest, tables, rows, data = database_digest(result_db)
+            digest, tables, rows, data, size = _digest_and_size(result_db)
             result = {"sha256": digest, "tables": tables, "rows": rows}
             cap = (
                 result_bytes_cap
@@ -728,12 +738,11 @@ class RunRecorder:
                     else DEFAULT_RESULT_BYTES_CAP
                 )
             )
-            payload = json.dumps(data, separators=(",", ":"))
-            if len(payload) <= cap:
+            if size <= cap:
                 result["data"] = data
             else:
                 result["data"] = None
-                result["bytes"] = len(payload)
+                result["bytes"] = size
 
         program_block: dict | None = None
         if program is not None:

@@ -29,10 +29,18 @@ the interpreter decides where the restart points fall and its
 snapshot-and-commit step rolls a failed statement's minted tags back;
 on ``resume=True`` it restores state from the checkpoint file and
 re-enters the program at the recorded boundary instead of starting over.
+
+Encoding: a statement replaces only the tables carrying its target name,
+so each table's encoded grid and its JSON text are memoized per table
+object, and :func:`save_checkpoint` encodes only the small header and
+splices the cached table texts in.  The file is byte for byte
+``json.dumps(checkpoint.to_json()) + "\\n"`` (format 1, unchanged), and a
+checkpoint pays encoding only for the tables its statement replaced.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -106,15 +114,40 @@ def symbol_from_data(data: list) -> Symbol:
     raise CheckpointError(f"unknown symbol sort in {data!r}")
 
 
-#: Encoded-grid memo, keyed by table object identity and validated (and
-#: evicted) through weak references.  Checkpoints are written after
+#: Encoded-table memo, keyed by table object identity and validated (and
+#: evicted) through weak references.  Each entry holds ``[ref, grid,
+#: text]``: the encoded grid (nested lists) and, once a checkpoint has
+#: asked for it, that grid's JSON text.  Checkpoints are written after
 #: *every* statement, but a statement replaces only the tables carrying
 #: its target name — the rest of the database is the same objects, and a
-#: while-fixpoint re-serializing its whole database each body statement
-#: would otherwise redo that encoding work quadratically.  The cap is a
-#: backstop only; dead tables evict themselves.
-_TABLE_DATA_CACHE: dict[int, tuple[weakref.ref, list]] = {}
+#: while-fixpoint re-encoding its whole database each body statement
+#: would otherwise redo that work (to lists and to text) quadratically.
+#: The cap is a backstop only; dead tables evict themselves.
+_TABLE_DATA_CACHE: dict[int, list] = {}
 _TABLE_DATA_CACHE_CAP = 8192
+
+
+def _table_entry(table: Table) -> list:
+    """The memo entry ``[ref, grid, text-or-None]`` for one table object."""
+    key = id(table)
+    hit = _TABLE_DATA_CACHE.get(key)
+    if hit is not None and hit[0]() is table:
+        return hit
+    grid = [[symbol_to_data(symbol) for symbol in row] for row in table.grid]
+    entry = [None, grid, None]
+    if len(_TABLE_DATA_CACHE) >= _TABLE_DATA_CACHE_CAP:
+        _TABLE_DATA_CACHE.clear()
+    cache = _TABLE_DATA_CACHE
+
+    def _evict(_ref, _key=key, _cache=cache):
+        _cache.pop(_key, None)
+
+    try:
+        entry[0] = weakref.ref(table, _evict)
+        cache[key] = entry
+    except TypeError:  # pragma: no cover - Table is weak-referenceable
+        pass
+    return entry
 
 
 def table_to_data(table: Table) -> list:
@@ -124,23 +157,16 @@ def table_to_data(table: Table) -> list:
     object never changes; callers must treat the returned structure as
     read-only (``json.dumps`` does).
     """
-    key = id(table)
-    hit = _TABLE_DATA_CACHE.get(key)
-    if hit is not None and hit[0]() is table:
-        return hit[1]
-    data = [[symbol_to_data(entry) for entry in row] for row in table.grid]
-    if len(_TABLE_DATA_CACHE) >= _TABLE_DATA_CACHE_CAP:
-        _TABLE_DATA_CACHE.clear()
-    cache = _TABLE_DATA_CACHE
+    return _table_entry(table)[1]
 
-    def _evict(_ref, _key=key, _cache=cache):
-        _cache.pop(_key, None)
 
-    try:
-        cache[key] = (weakref.ref(table, _evict), data)
-    except TypeError:  # pragma: no cover - Table is weak-referenceable
-        pass
-    return data
+def _table_text(table: Table) -> str:
+    """``json.dumps(table_to_data(table))``, memoized with the grid."""
+    entry = _table_entry(table)
+    text = entry[2]
+    if text is None:
+        text = entry[2] = json.dumps(entry[1])
+    return text
 
 
 def table_from_data(data: list) -> Table:
@@ -190,7 +216,8 @@ class Checkpoint:
     body_index: int = 0
     done: bool = False
 
-    def to_json(self) -> dict:
+    def header(self) -> dict:
+        """Every field of :meth:`to_json` but the (last) ``database``."""
         return {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self.fingerprint,
@@ -199,8 +226,21 @@ class Checkpoint:
             "iterations": self.iterations,
             "next_tag": self.next_tag,
             "done": self.done,
-            "database": database_to_data(self.db),
         }
+
+    def to_json(self) -> dict:
+        return {**self.header(), "database": database_to_data(self.db)}
+
+    def encode(self) -> str:
+        """The file text: ``json.dumps(self.to_json()) + "\\n"``, byte for byte.
+
+        ``database`` is the last key and the default separators are
+        ``", "`` and ``": "``, so the memoized table texts splice into
+        the header's own encoding unchanged.
+        """
+        head = json.dumps(self.header())
+        tables = ", ".join([_table_text(table) for table in self.db.tables])
+        return f'{head[:-1]}, "database": [{tables}]}}\n'
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
@@ -212,11 +252,13 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
     truncated file.  (The directory entry itself is not fsynced: losing
     the *rename* to a power cut re-exposes the previous checkpoint,
     which is still a valid resume point; what must never exist is a torn
-    file, and the data fsync before the rename guarantees that.)
+    file, and the data fsync before the rename guarantees that.)  A
+    failed write removes its temp file, best effort, and raises
+    :class:`CheckpointError`; the previous checkpoint stays in place.
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    payload = json.dumps(checkpoint.to_json()) + "\n"
+    payload = checkpoint.encode()
     try:
         with tmp.open("w") as handle:
             handle.write(payload)
@@ -224,6 +266,8 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except OSError as err:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
     return path
 

@@ -536,7 +536,7 @@ class Supervisor:
             return
         if self.ledger is None:
             return
-        from ..obs.ledger import database_digest
+        from ..obs.ledger import _digest_and_size
 
         if run.error is None:
             status = "ok"
@@ -550,16 +550,13 @@ class Supervisor:
             outcome["error"] = str(run.error)
         result_block = None
         if run.result is not None:
-            digest, tables, rows, data = database_digest(run.result)
+            digest, tables, rows, data, size = _digest_and_size(run.result)
             result_block = {"sha256": digest, "tables": tables, "rows": rows}
-            import json as _json
-
-            payload = _json.dumps(data, separators=(",", ":"))
-            if len(payload) <= self.ledger.result_bytes_cap:
+            if size <= self.ledger.result_bytes_cap:
                 result_block["data"] = data
             else:
                 result_block["data"] = None
-                result_block["bytes"] = len(payload)
+                result_block["bytes"] = size
         self.ledger.record(
             {
                 "run_id": run.run_id,

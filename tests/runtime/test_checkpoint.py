@@ -1,6 +1,7 @@
 """Checkpoint/resume: serialization round trips, resume determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -151,6 +152,19 @@ class TestCrashAtomicity:
         target = tmp_path / "not-a-directory" / "ck.json"
         with pytest.raises(CheckpointError):
             save_checkpoint(target, self._checkpoint([("x",)]))
+
+    def test_failed_fsync_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, self._checkpoint([("x",)]))
+
+        def failing_fsync(fd):
+            raise OSError(5, "injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(CheckpointError):
+            save_checkpoint(path, self._checkpoint([("x",), ("y",)]))
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        assert load_checkpoint(path).iterations == 1
 
     def test_overwrite_is_all_or_nothing(self, tmp_path):
         path = tmp_path / "ck.json"
