@@ -56,13 +56,17 @@ def store_results(
     replace all tables previously carrying that name (DESIGN.md decision
     13); a target with no tables becomes empty.  Under an engine scope the
     renaming keeps each result's interned form, so the kernel of the next
-    statement reading the target finds it in the interner's cache.
+    statement reading the target finds its id form without re-interning.
     """
     backend = current().backend
-    rename = backend.interner.renamed if backend is not None else Table.with_name
+    rename = backend.interner.renamed if backend is not None else _with_name
     for target, produced in results.items():
         db = db.replace_named(target, [rename(t, target) for t in produced])
     return db
+
+
+def _with_name(table: Table, name: Symbol) -> Table:
+    return table.with_name(name)
 
 
 class Statement:

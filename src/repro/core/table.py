@@ -22,6 +22,15 @@ tables from relations.
 :class:`Table` is immutable; every "mutation" returns a new table.  This is
 what makes the algebra's assignment semantics and the hypothesis-based
 property tests straightforward.
+
+Every method reads the grid through the ``_grid`` slot, except the name,
+the shape (``nrows``/``ncols``/``height``/``width``) and ``with_name``.
+That lets the vectorized engine return its results as
+:class:`repro.engine.interning.InternedTable`, a subclass holding integer
+ids that answers those from the ids and fills ``_grid`` on its first
+read.  Equality, hashing and ``sort_key`` are always the grid's, so an
+interned table and a plain one with the same grid are the same element
+of a database.
 """
 
 from __future__ import annotations

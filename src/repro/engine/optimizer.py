@@ -304,6 +304,10 @@ def _pushdown_swap(
     right = _lit(second.params.get("right"))
     if left is None or right is None:
         return None
+    if _is_identity_copy(first):
+        # A copy (CSE's RENAME ⊥→⊥) gains nothing from the swap, and
+        # declining keeps CSE's output a fixpoint of the rule set.
+        return None
     if first.spec.name == "RENAME":
         old = _lit(first.params.get("old"))
         new = _lit(first.params.get("new"))

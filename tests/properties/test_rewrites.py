@@ -105,3 +105,14 @@ class TestConfluence:
         assert _statements_repr(twice.program) == _statements_repr(once.program)
         # And the fixpoint still evaluates like the source program.
         assert _outcome(program, db) == _outcome(twice.program, db)
+
+    def test_select_stays_above_a_cse_copy(self):
+        # CSE turns a repeated SELECT(S) into the copy U <- RENAME ⊥→⊥ (T);
+        # a second pass must not push the σ that follows below that copy.
+        program, db = random_rewrite_case(7641)
+        stats = analyze_database(db)
+        once = optimize_program(program, stats, cache=None)
+        assert "U <- RENAME old ⊥ new ⊥ (T)" in _statements_repr(once.program)
+        twice = optimize_program(once.program, stats, cache=None)
+        assert twice.applied == ()
+        assert _outcome(program, db) == _outcome(twice.program, db)
